@@ -4,13 +4,18 @@
 #include <cassert>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 
 namespace mafic::sim {
 
 Node* Network::add_node(util::Addr addr, NodeKind kind) {
+  if (by_addr_.contains(addr)) {
+    throw std::invalid_argument("Network: duplicate node address " +
+                                util::format_addr(addr));
+  }
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(sim_, id, addr, kind));
-  by_addr_[addr] = id;
+  by_addr_.emplace(addr, id);
   if (drop_handler_) nodes_.back()->set_drop_handler(drop_handler_);
   return nodes_.back().get();
 }
@@ -48,16 +53,33 @@ void Network::build_routes() {
   std::vector<std::vector<SimplexLink*>> out(n);
   for (const auto& l : links_) out[l->from()].push_back(l.get());
 
+  // Dijkstra from a node with a lone out-link can only ever pick that link
+  // as a first hop, so such a node needs no row of its own when its
+  // neighbour has one: it reaches the neighbour plus whatever the
+  // neighbour reaches. Every other node gets a row.
+  constexpr std::size_t kNoRow = std::numeric_limits<std::size_t>::max();
+  const auto lone_link = [&](std::size_t v) -> SimplexLink* {
+    return out[v].size() == 1 && out[out[v][0]->to()].size() != 1
+               ? out[v][0]
+               : nullptr;
+  };
+  std::vector<std::size_t> row_of(n, kNoRow);
+  std::size_t rows = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (lone_link(v) == nullptr) row_of[v] = rows++;
+  }
+  route_rows_.assign(rows * n, nullptr);
+  const auto row = [&](std::size_t v) { return &route_rows_[row_of[v] * n]; };
+
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(n);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
 
-  // Dijkstra from every source. Domain sizes here are a few hundred nodes,
-  // so O(V * E log V) is entirely fine.
   for (std::size_t src = 0; src < n; ++src) {
-    std::vector<double> dist(n, kInf);
-    std::vector<SimplexLink*> first_hop(n, nullptr);
-    using Entry = std::pair<double, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-
+    if (row_of[src] == kNoRow) continue;
+    SimplexLink** first_hop = row(src);
+    std::fill(dist.begin(), dist.end(), kInf);
     dist[src] = 0.0;
     pq.emplace(0.0, static_cast<NodeId>(src));
     while (!pq.empty()) {
@@ -75,11 +97,21 @@ void Network::build_routes() {
       }
     }
 
-    Node& s = *nodes_[src];
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == src || first_hop[dst] == nullptr) continue;
-      s.add_route(nodes_[dst]->addr(), first_hop[dst]);
-    }
+    nodes_[src]->routes_ = Node::Routes{
+        &by_addr_, first_hop, n, nullptr,
+        n - static_cast<std::size_t>(std::count(first_hop, first_hop + n,
+                                                nullptr))};
+  }
+
+  for (std::size_t v = 0; v < n; ++v) {
+    SimplexLink* l = lone_link(v);
+    if (l == nullptr) continue;
+    const NodeId nb = l->to();
+    SimplexLink* const* nb_row = row(nb);
+    // The neighbour itself, plus its row's destinations other than v.
+    nodes_[v]->routes_ = Node::Routes{
+        &by_addr_, nb_row, n, l,
+        1 + nodes_[nb]->routes_.count - (nb_row[v] != nullptr ? 1 : 0)};
   }
 }
 

@@ -22,6 +22,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
+  /// Adds a node. Addresses are unique within a network: adding one that
+  /// is already taken throws std::invalid_argument.
   Node* add_host(util::Addr addr) { return add_node(addr, NodeKind::kHost); }
   Node* add_router(util::Addr addr) {
     return add_node(addr, NodeKind::kRouter);
@@ -37,7 +39,10 @@ class Network {
   /// Computes next-hop routes for every (node, destination-node) pair using
   /// Dijkstra over link propagation delays. Must be called after topology
   /// construction and before traffic starts; may be called again after
-  /// adding links.
+  /// adding links or nodes. Each route is stored once: a node whose lone
+  /// out-link leads to a node with other than one out-link keeps just
+  /// that link, every other node a dense next-hop row indexed by NodeId,
+  /// and Dijkstra runs only from the nodes with rows.
   void build_routes();
 
   Node* node(NodeId id) noexcept {
@@ -78,7 +83,8 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<SimplexLink>> links_;
   std::unordered_map<std::uint64_t, SimplexLink*> by_endpoints_;
-  std::unordered_map<util::Addr, NodeId> by_addr_;
+  std::unordered_map<util::Addr, NodeId> by_addr_;  // also the route index
+  std::vector<SimplexLink*> route_rows_;  // next-hop rows, node_count() each
   DropHandler drop_handler_;
 };
 

@@ -13,14 +13,19 @@ void Node::bind_port(std::uint16_t port, PacketHandler* handler) {
 
 void Node::unbind_port(std::uint16_t port) { ports_.erase(port); }
 
-void Node::add_route(util::Addr dst, SimplexLink* out) {
-  routes_[dst] = out;
-}
-
+// maficlint: hot
 SimplexLink* Node::route_for(util::Addr dst) const noexcept {
-  const auto it = routes_.find(dst);
-  if (it != routes_.end()) return it->second;
-  return default_route_;
+  if (routes_.index == nullptr) return nullptr;  // no build_routes() yet
+  const auto it = routes_.index->find(dst);
+  // Unknown address, or a node added after the last build_routes().
+  if (it == routes_.index->end() || it->second >= routes_.row_size) {
+    return nullptr;
+  }
+  const NodeId d = it->second;
+  if (routes_.lone_link == nullptr) return routes_.row[d];
+  const bool reached = d == routes_.lone_link->to() ||
+                       (d != id_ && routes_.row[d] != nullptr);
+  return reached ? routes_.lone_link : nullptr;
 }
 
 void Node::send(PacketPtr p) {

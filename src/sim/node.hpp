@@ -2,8 +2,8 @@
 
 /// \file node.hpp
 /// Hosts and routers. A node owns an address, a port-demux table for local
-/// agents, and a next-hop route table (destination address -> outgoing
-/// simplex link) filled in by the static routing computation.
+/// agents, and its view of the static next-hop routes (destination address
+/// -> outgoing simplex link) that Network::build_routes() computes.
 
 #include <cstdint>
 #include <memory>
@@ -40,11 +40,12 @@ class Node {
   void bind_port(std::uint16_t port, PacketHandler* handler);
   void unbind_port(std::uint16_t port);
 
-  /// Routing table management (normally done by Network::build_routes).
-  void add_route(util::Addr dst, SimplexLink* out);
-  void set_default_route(SimplexLink* out) noexcept { default_route_ = out; }
+  /// Next-hop link towards the node with address `dst`, as of the last
+  /// Network::build_routes(); nullptr for this node's own address, an
+  /// unknown address, or a node it cannot reach.
   SimplexLink* route_for(util::Addr dst) const noexcept;
-  std::size_t route_count() const noexcept { return routes_.size(); }
+  /// Number of destination nodes route_for() has a next hop for.
+  std::size_t route_count() const noexcept { return routes_.count; }
 
   /// Origination or forwarding: looks up the route and pushes the packet
   /// into the outgoing link. Local destinations are delivered directly.
@@ -75,6 +76,22 @@ class Node {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
+  friend class Network;  // build_routes() fills in routes_
+
+  /// This node's view of the static routes. A destination address resolves
+  /// to a NodeId through the network's shared index, then indexes a dense
+  /// next-hop row. A node with its own row reads the answer there. A node
+  /// whose lone out-link leads to a node with a row stores only that link:
+  /// it reaches the neighbour and whatever else the neighbour's row
+  /// reaches except itself, all through the link.
+  struct Routes {
+    const std::unordered_map<util::Addr, NodeId>* index = nullptr;
+    SimplexLink* const* row = nullptr;  ///< own row, or the neighbour's
+    std::size_t row_size = 0;           ///< node count at build time
+    SimplexLink* lone_link = nullptr;   ///< set iff `row` is the neighbour's
+    std::size_t count = 0;
+  };
+
   class Entry final : public Connector {
    public:
     explicit Entry(Node* n) : node_(n) {}
@@ -96,8 +113,7 @@ class Node {
   NodeKind kind_;
   Entry entry_;
   std::unordered_map<std::uint16_t, PacketHandler*> ports_;
-  std::unordered_map<util::Addr, SimplexLink*> routes_;
-  SimplexLink* default_route_ = nullptr;
+  Routes routes_;
   DropHandler drop_handler_;
   Stats stats_;
 };
