@@ -9,7 +9,11 @@ namespace mafic::pushback {
 ControlPlane::ControlPlane(sim::Simulator* sim,
                            PushbackCoordinator* coordinator, Config cfg)
     : sim_(sim), coordinator_(coordinator), cfg_(cfg),
-      pipeline_(cfg.features) {}
+      pipeline_(cfg.detector, cfg.atr.min_intersection) {}
+
+ControlPlane::~ControlPlane() {
+  if (keepalive_event_ != sim::kInvalidEvent) sim_->cancel(keepalive_event_);
+}
 
 void ControlPlane::protect(sim::NodeId victim_router,
                            util::Addr victim_addr) {
@@ -67,6 +71,9 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
   }
 
   // 3. Fold results into the statuses and collect pending transitions.
+  // What a victim has engaged so far is read from the registry: every
+  // earlier epoch's apply event has landed (control_delay < epoch).
+  const auto& responses = coordinator_->responses();
   std::vector<Action> actions;
   for (std::size_t i = 0; i < statuses_.size(); ++i) {
     auto& st = statuses_[i];
@@ -75,37 +82,26 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
     st.features = dec.features;
     if (dec.raised) ++st.alarms;
 
+    const auto rit = responses.find(st.victim);
+    const bool engaged = rit != responses.end() && rit->second.engaged;
     if (dec.alarming) {
       // Engage any ATRs not yet applied for this victim. Re-evaluated
       // every alarming epoch so late-ramping attack sources are caught.
-      std::vector<AtrScore> fresh;
-      for (const auto& score : atr_sets[i]) {
-        if (!std::binary_search(st.atrs.begin(), st.atrs.end(),
-                                score.router)) {
-          fresh.push_back(score);
-        }
-      }
-      if (!fresh.empty()) {
-        Action a;
-        a.index = i;
-        a.engage = true;
-        a.atrs = std::move(fresh);
-        // Record as applied now: the apply event is unconditional once
-        // scheduled, and control_delay < epoch length keeps it ordered
-        // before the next epoch's decisions.
-        for (const auto& score : a.atrs) {
-          st.atrs.insert(std::lower_bound(st.atrs.begin(), st.atrs.end(),
-                                          score.router),
-                         score.router);
-        }
-        actions.push_back(std::move(a));
-      }
-    } else if (dec.cleared && !cfg_.latch && st.engaged) {
       Action a;
       a.index = i;
-      a.disengage = true;
+      a.engage = true;
+      for (const auto& score : atr_sets[i]) {
+        if (!engaged || !std::binary_search(rit->second.atrs.begin(),
+                                            rit->second.atrs.end(),
+                                            score.router)) {
+          a.atrs.push_back(score.router);
+        }
+      }
+      if (!a.atrs.empty()) actions.push_back(std::move(a));
+    } else if (dec.cleared && !cfg_.latch && engaged) {
+      Action a;
+      a.index = i;
       actions.push_back(std::move(a));
-      st.atrs.clear();
     }
   }
 
@@ -120,17 +116,28 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
 void ControlPlane::apply(const std::vector<Action>& actions) {
   ++apply_events_;
   for (const auto& a : actions) {
-    auto& st = statuses_[a.index];
-    if (a.engage) {
-      coordinator_->engage_victim(st.victim, st.router, a.atrs);
-      st.engaged = true;
-      if (st.trigger_time < 0.0) st.trigger_time = sim_->now();
-    } else if (a.disengage) {
-      coordinator_->disengage_victim(st.victim);
-      st.engaged = false;
-      st.clear_time = sim_->now();
+    const util::Addr victim = statuses_[a.index].victim;
+    if (!a.engage) {
+      coordinator_->disengage_victim(victim);
+      continue;
+    }
+    coordinator_->engage_victim(victim, a.atrs);
+    if (keepalive_event_ == sim::kInvalidEvent) {
+      keepalive_event_ =
+          sim_->schedule(cfg_.refresh_interval, [this] { refresh_tick(); });
     }
   }
+}
+
+void ControlPlane::refresh_tick() {
+  // "Engaged" already encodes the keep-alive decision (an unlatched
+  // victim is disengaged on clear), so every engaged ATR is refreshed —
+  // once per tick, however many victims share it.
+  for (const sim::NodeId router : coordinator_->engaged_atrs()) {
+    coordinator_->refresh(router);
+  }
+  keepalive_event_ =
+      sim_->schedule(cfg_.refresh_interval, [this] { refresh_tick(); });
 }
 
 }  // namespace mafic::pushback

@@ -13,23 +13,29 @@
 ///      samples pulled through an opaque CounterSource callback. No
 ///      datapath structure is referenced after this point.
 ///   2. DETECT — the DetectorFeaturePipeline consumes the snapshot:
-///      abnormal-|Dj| per protected destination (identical rule to the
-///      inline VictimDetector), feature extraction (velocity, fan-in,
-///      population shift), and ATR identification for every alarming
-///      victim. The step is a pure function of the snapshot plus the
-///      pipeline's own state, so when a ShardWorkerPool is attached it
-///      runs as a pool task (submit + wait inside the epoch callback —
-///      the fan-out/join pair is the happens-before edge) and produces
-///      bit-identical results to the inline path.
+///      the abnormal-|Dj| rule per protected last-hop router, feature
+///      extraction (velocity, fan-in, population shift), and ATR
+///      identification for every alarming victim. The step is a pure
+///      function of the snapshot plus the pipeline's own state, so when a
+///      ShardWorkerPool is attached it runs as a pool task (submit + wait
+///      inside the epoch callback — the fan-out/join pair is the
+///      happens-before edge) and produces bit-identical results to the
+///      inline path.
 ///   3. APPLY — pending per-victim actions are applied at ONE scheduled
 ///      event a fixed control delay later, through the coordinator's
 ///      engage_victim / disengage_victim registry.
+///   4. KEEP-ALIVE — from the first engaging apply event on, the plane
+///      sends one "Pushback Continue?" refresh per engaged ATR every
+///      refresh_interval (paper Fig. 2). It is the only sender, so the
+///      loop lives here; the registry only says which ATRs are engaged.
 ///
 /// Determinism contract: snapshot points are epoch events, the apply
-/// event fires at epoch_end + control_delay, and detection never reads
-/// live state — so detector-mode runs are bit-identical across the
-/// scalar / sharded / threaded / fleet strategies and across pooled vs
-/// inline detection (the scenario-catalog equivalence battery pins it).
+/// event fires at epoch_end + control_delay (before the next epoch: the
+/// Experiment rejects control_delay >= epoch_seconds), and detection
+/// never reads live state — so detector-mode runs are bit-identical
+/// across the scalar / sharded / threaded / fleet strategies and across
+/// pooled vs inline detection (the scenario-catalog equivalence battery
+/// pins it).
 ///
 /// This file is control-plane code: the maficlint `seams` rule checks
 /// it never names FlowTables or the verdict pipeline — engines are
@@ -41,6 +47,7 @@
 #include <vector>
 
 #include "core/shard_worker_pool.hpp"
+#include "pushback/atr_identifier.hpp"
 #include "pushback/coordinator.hpp"
 #include "pushback/detector_features.hpp"
 #include "sketch/control_snapshot.hpp"
@@ -51,24 +58,24 @@ namespace mafic::pushback {
 
 class ControlPlane {
  public:
+  /// Every settable pushback value: ExperimentConfig::pushback.
   struct Config {
-    double control_delay = 0.01;  ///< detect -> apply signaling delay
+    double control_delay = 0.01;     ///< detect -> apply signaling delay
+    double refresh_interval = 0.25;  ///< keep-alive period
     bool latch = true;  ///< keep responses engaged after the alarm clears
     AtrConfig atr{};
-    FeatureConfig features{};
+    DetectorFeaturePipeline::Config detector{};
   };
 
-  /// Everything the plane knows about one protected destination.
+  /// What detection knows about one protected destination. Whether it is
+  /// engaged, since when and at which ATRs lives in the coordinator's
+  /// responses().
   struct VictimStatus {
     util::Addr victim = util::kInvalidAddr;
     sim::NodeId router = sim::kInvalidNode;  ///< last-hop router
     bool alarming = false;  ///< detector state after the latest epoch
-    bool engaged = false;   ///< response currently active
     std::uint64_t alarms = 0;    ///< raise transitions observed
-    double trigger_time = -1.0;  ///< first engagement (apply-event time)
-    double clear_time = -1.0;    ///< last disengagement
-    std::vector<sim::NodeId> atrs;  ///< engaged ATRs, sorted
-    FeatureVector features{};       ///< latest epoch's feature vector
+    FeatureVector features{};    ///< latest epoch's feature vector
   };
 
   /// Fills the counter fields of pre-sized samples (victim + router are
@@ -79,6 +86,10 @@ class ControlPlane {
 
   ControlPlane(sim::Simulator* sim, PushbackCoordinator* coordinator,
                Config cfg);
+  ~ControlPlane();
+
+  ControlPlane(const ControlPlane&) = delete;
+  ControlPlane& operator=(const ControlPlane&) = delete;
 
   /// Declares a protected destination. Call once per victim, primary
   /// first — statuses() and counter samples keep this order.
@@ -104,10 +115,6 @@ class ControlPlane {
   const std::vector<VictimStatus>& statuses() const noexcept {
     return statuses_;
   }
-  /// Sorted union of all engaged responses' ATRs.
-  std::vector<sim::NodeId> active_atrs() const {
-    return coordinator_->engaged_atrs();
-  }
 
   std::uint64_t epochs_observed() const noexcept { return epochs_; }
   std::uint64_t detection_steps_pooled() const noexcept {
@@ -121,12 +128,12 @@ class ControlPlane {
   /// executed at the apply event.
   struct Action {
     std::size_t index = 0;  ///< into statuses_
-    bool engage = false;
-    bool disengage = false;
-    std::vector<AtrScore> atrs;  ///< newly-identified ATRs to engage
+    bool engage = false;    ///< otherwise disengage
+    std::vector<sim::NodeId> atrs;  ///< newly-identified ATRs to engage
   };
 
   void apply(const std::vector<Action>& actions);
+  void refresh_tick();
 
   sim::Simulator* sim_;
   PushbackCoordinator* coordinator_;
@@ -138,6 +145,7 @@ class ControlPlane {
   std::uint64_t epochs_ = 0;
   std::uint64_t pooled_steps_ = 0;
   std::uint64_t apply_events_ = 0;
+  sim::EventId keepalive_event_ = sim::kInvalidEvent;
 };
 
 }  // namespace mafic::pushback

@@ -4,82 +4,16 @@
 
 namespace mafic::pushback {
 
-PushbackCoordinator::PushbackCoordinator(sim::Simulator* sim, Config cfg)
-    : sim_(sim), cfg_(cfg), detector_(cfg.detector) {
-  detector_.set_alarm_callback(
-      [this](const AttackAlarm& a, const sketch::TrafficMatrixSnapshot& s) {
-        on_alarm(a, s);
-      });
-  detector_.set_clear_callback(
-      [this](sim::NodeId r, double t) { on_clear(r, t); });
-}
-
-PushbackCoordinator::~PushbackCoordinator() {
-  if (refresh_event_ != sim::kInvalidEvent) sim_->cancel(refresh_event_);
-}
-
-void PushbackCoordinator::watch(sketch::TrafficMonitor& monitor) {
-  monitor.subscribe([this](const sketch::TrafficMatrixSnapshot& snap) {
-    detector_.on_epoch(snap);
-    // While the alarm persists, keep re-evaluating the ATR set: zombies
-    // that ramped up after the first alarming epoch must also be engaged.
-    if (triggered_ && detector_.alarming(victim_router_)) {
-      engage(snap);
-    }
-  });
-}
-
-void PushbackCoordinator::protect(sim::NodeId victim_router,
-                                  util::Addr victim_addr) {
-  // First call fixes the legacy single-victim watch() path's router;
-  // later calls only extend the scripted-activation victim set (the
-  // multi-victim control-plane path tracks routers per response).
-  if (victim_router_ == sim::kInvalidNode) victim_router_ = victim_router;
-  victims_.insert(victim_addr);
-}
-
 void PushbackCoordinator::register_actuator(sim::NodeId router,
                                             core::DefenseActuator* a) {
   actuators_[router].push_back(a);
 }
 
-void PushbackCoordinator::on_alarm(const AttackAlarm& alarm,
-                                   const sketch::TrafficMatrixSnapshot& snap) {
-  // Only the protected victim's last-hop router matters here; alarms for
-  // other routers would be separate incidents.
-  if (alarm.router != victim_router_ || victims_.empty()) return;
-  engage(snap);
-}
-
-void PushbackCoordinator::engage(const sketch::TrafficMatrixSnapshot& snap) {
-  const auto atrs = identify_atrs(snap, victim_router_, cfg_.atr);
-  if (atrs.empty()) return;
-
-  bool any_new = false;
-  for (const auto& score : atrs) {
-    if (std::find(active_atrs_.begin(), active_atrs_.end(), score.router) !=
-        active_atrs_.end()) {
-      continue;
-    }
-    active_atrs_.push_back(score.router);
-    any_new = true;
-    sim_->schedule(cfg_.control_delay,
-                   [this, router = score.router] { activate_router(router); });
-  }
-
-  if (!triggered_ && any_new) {
-    triggered_ = true;
-    trigger_time_ = sim_->now() + cfg_.control_delay;
-    if (on_trigger_) on_trigger_(trigger_time_, atrs);
-  }
-  start_refresh_loop();
-}
-
-void PushbackCoordinator::start_refresh_loop() {
-  if (refreshing_) return;
-  refreshing_ = true;
-  refresh_event_ =
-      sim_->schedule(cfg_.refresh_interval, [this] { refresh_tick(); });
+std::vector<sim::NodeId> PushbackCoordinator::actuator_routers() const {
+  std::vector<sim::NodeId> out;
+  out.reserve(actuators_.size());
+  for (const auto& [router, list] : actuators_) out.push_back(router);
+  return out;
 }
 
 core::VictimSet PushbackCoordinator::victims_for_router(
@@ -94,12 +28,10 @@ core::VictimSet PushbackCoordinator::victims_for_router(
   return set;
 }
 
-void PushbackCoordinator::engage_victim(util::Addr victim,
-                                        sim::NodeId victim_router,
-                                        const std::vector<AtrScore>& atrs) {
-  if (atrs.empty()) return;
+void PushbackCoordinator::engage_victim(
+    util::Addr victim, const std::vector<sim::NodeId>& routers) {
+  if (routers.empty()) return;
   auto& resp = responses_[victim];
-  resp.router = victim_router;
 
   if (!resp.engaged) {
     resp.engaged = true;
@@ -108,17 +40,14 @@ void PushbackCoordinator::engage_victim(util::Addr victim,
   }
 
   std::vector<sim::NodeId> fresh;
-  for (const auto& score : atrs) {
+  for (const sim::NodeId router : routers) {
     const auto it =
-        std::lower_bound(resp.atrs.begin(), resp.atrs.end(), score.router);
-    if (it != resp.atrs.end() && *it == score.router) continue;
-    resp.atrs.insert(it, score.router);
-    fresh.push_back(score.router);
+        std::lower_bound(resp.atrs.begin(), resp.atrs.end(), router);
+    if (it != resp.atrs.end() && *it == router) continue;
+    resp.atrs.insert(it, router);
+    fresh.push_back(router);
   }
 
-  // Activate (or extend: engine activation is additive, so an actuator
-  // already defending another victim just gains this one) every router
-  // that is new FOR THIS response, with the full per-router union.
   for (const sim::NodeId router : fresh) {
     const auto it = actuators_.find(router);
     if (it == actuators_.end()) continue;
@@ -129,9 +58,8 @@ void PushbackCoordinator::engage_victim(util::Addr victim,
   if (!triggered_) {
     triggered_ = true;
     trigger_time_ = sim_->now();
-    if (on_trigger_) on_trigger_(trigger_time_, atrs);
+    if (on_trigger_) on_trigger_(trigger_time_);
   }
-  start_refresh_loop();
 }
 
 void PushbackCoordinator::disengage_victim(util::Addr victim) {
@@ -162,6 +90,12 @@ void PushbackCoordinator::disengage_victim(util::Addr victim) {
   }
 }
 
+void PushbackCoordinator::refresh(sim::NodeId router) {
+  const auto it = actuators_.find(router);
+  if (it == actuators_.end()) return;
+  for (core::DefenseActuator* a : it->second) a->refresh();
+}
+
 std::vector<sim::NodeId> PushbackCoordinator::engaged_atrs() const {
   std::vector<sim::NodeId> out;
   for (const auto& [victim, resp] : responses_) {
@@ -171,72 +105,6 @@ std::vector<sim::NodeId> PushbackCoordinator::engaged_atrs() const {
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-void PushbackCoordinator::activate_router(sim::NodeId router) {
-  const auto it = actuators_.find(router);
-  if (it == actuators_.end()) return;
-  for (core::DefenseActuator* a : it->second) a->activate(victims_);
-}
-
-void PushbackCoordinator::refresh_tick() {
-  refresh_event_ = sim::kInvalidEvent;
-  if (!refreshing_) return;
-  // Legacy single-victim path: refresh while latched or still alarming.
-  const bool attack_ongoing =
-      cfg_.latch || detector_.alarming(victim_router_);
-  std::vector<sim::NodeId> routers;
-  if (attack_ongoing) {
-    routers.assign(active_atrs_.begin(), active_atrs_.end());
-  }
-  // Multi-victim responses: "engaged" already encodes the keep-alive
-  // decision (the control plane disengages on clear when unlatched), so
-  // every engaged router gets refreshed.
-  for (const auto& [victim, resp] : responses_) {
-    if (!resp.engaged) continue;
-    routers.insert(routers.end(), resp.atrs.begin(), resp.atrs.end());
-  }
-  std::sort(routers.begin(), routers.end());
-  routers.erase(std::unique(routers.begin(), routers.end()), routers.end());
-  for (const sim::NodeId router : routers) {
-    const auto it = actuators_.find(router);
-    if (it == actuators_.end()) continue;
-    for (core::DefenseActuator* a : it->second) a->refresh();
-  }
-  refresh_event_ =
-      sim_->schedule(cfg_.refresh_interval, [this] { refresh_tick(); });
-}
-
-void PushbackCoordinator::on_clear(sim::NodeId router, double) {
-  if (router != victim_router_ || cfg_.latch) return;
-  cancel();
-}
-
-void PushbackCoordinator::cancel() {
-  refreshing_ = false;
-  if (refresh_event_ != sim::kInvalidEvent) {
-    sim_->cancel(refresh_event_);
-    refresh_event_ = sim::kInvalidEvent;
-  }
-  for (const auto router : active_atrs_) {
-    const auto it = actuators_.find(router);
-    if (it == actuators_.end()) continue;
-    for (core::DefenseActuator* a : it->second) a->deactivate();
-  }
-  active_atrs_.clear();
-  for (auto& [victim, resp] : responses_) {
-    if (!resp.engaged) continue;
-    resp.engaged = false;
-    resp.clear_time = sim_->now();
-    for (const sim::NodeId router : resp.atrs) {
-      const auto it = actuators_.find(router);
-      if (it == actuators_.end()) continue;
-      // Deactivating a shared router twice is fine (idempotent flush);
-      // after cancel() nothing is engaged, so no retarget is needed.
-      for (core::DefenseActuator* a : it->second) a->deactivate();
-    }
-    resp.atrs.clear();
-  }
 }
 
 }  // namespace mafic::pushback

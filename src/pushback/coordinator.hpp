@@ -1,11 +1,14 @@
 #pragma once
 
 /// \file coordinator.hpp
-/// End-to-end pushback control: subscribes the victim detector to the
-/// traffic monitor, identifies ATRs when an alarm fires, activates the
-/// defense actuators registered at those routers (after a control-plane
-/// delay), keeps them refreshed while the attack persists, and tears the
-/// response down when the detector clears (unless latched).
+/// The per-victim pushback response registry. Defense actuators register
+/// under the router they sit at; each victim's response engages a set of
+/// Attack-Transit Routers (ATRs) and later disengages them. Both trigger
+/// modes notify through here: the scripted notification engages every
+/// protected victim at once, and the control plane engages and
+/// disengages victims at its apply events. The "Pushback Continue?"
+/// keep-alive is the sender's job (ControlPlane); the registry only
+/// delivers it to the actuators at a router.
 
 #include <cstdint>
 #include <functional>
@@ -13,30 +16,16 @@
 #include <vector>
 
 #include "core/actuator.hpp"
-#include "pushback/atr_identifier.hpp"
-#include "pushback/victim_detector.hpp"
 #include "sim/simulator.hpp"
 
 namespace mafic::pushback {
 
 class PushbackCoordinator {
  public:
-  struct Config {
-    double control_delay = 0.01;    ///< victim router -> ATR signaling
-    double refresh_interval = 0.25; ///< keep-alive period
-    bool latch = true;  ///< once triggered, refresh until the run ends
-    AtrConfig atr{};
-    VictimDetector::Config detector{};
-  };
+  using TriggerCallback = std::function<void(double time)>;
 
-  using TriggerCallback = std::function<void(
-      double time, const std::vector<AtrScore>& atrs)>;
-
-  /// Per-victim response bookkeeping for the multi-victim control-plane
-  /// path (engage_victim / disengage_victim). The legacy single-victim
-  /// watch() path does not touch these.
+  /// One victim's response.
   struct VictimResponse {
-    sim::NodeId router = sim::kInvalidNode;  ///< victim's last-hop router
     bool engaged = false;
     double trigger_time = -1.0;  ///< first engagement (never reset)
     double clear_time = -1.0;    ///< last disengagement
@@ -44,23 +33,19 @@ class PushbackCoordinator {
     std::vector<sim::NodeId> atrs;  ///< currently engaged ATRs, sorted
   };
 
-  PushbackCoordinator(sim::Simulator* sim, Config cfg);
-  ~PushbackCoordinator();
+  explicit PushbackCoordinator(sim::Simulator* sim) : sim_(sim) {}
 
   PushbackCoordinator(const PushbackCoordinator&) = delete;
   PushbackCoordinator& operator=(const PushbackCoordinator&) = delete;
-
-  /// Subscribes to epoch snapshots from the traffic monitor.
-  void watch(sketch::TrafficMonitor& monitor);
-
-  /// Declares the protected victim (its last-hop router and address).
-  void protect(sim::NodeId victim_router, util::Addr victim_addr);
 
   /// Registers a defense actuator living at `router` (e.g. a MaficFilter
   /// on one of its ingress links). Multiple actuators per router are fine.
   void register_actuator(sim::NodeId router, core::DefenseActuator* a);
 
-  /// First-activation notification (used by the ledger to set the
+  /// Routers with at least one registered actuator, ascending.
+  std::vector<sim::NodeId> actuator_routers() const;
+
+  /// First-engagement notification (used by the ledger to set the
   /// trigger time).
   void set_trigger_callback(TriggerCallback cb) {
     on_trigger_ = std::move(cb);
@@ -68,31 +53,26 @@ class PushbackCoordinator {
 
   bool triggered() const noexcept { return triggered_; }
   double trigger_time() const noexcept { return trigger_time_; }
-  const std::vector<sim::NodeId>& active_atrs() const noexcept {
-    return active_atrs_;
-  }
-  VictimDetector& detector() noexcept { return detector_; }
-  const Config& config() const noexcept { return cfg_; }
 
-  /// --- Multi-victim actuation (asynchronous control-plane path) ---
-  ///
-  /// The ControlPlane runs detection off-path and calls these at its
-  /// apply event (the control delay has already elapsed), so activation
-  /// is immediate. Engaging activates actuators at any newly-identified
-  /// ATRs with the union of victims every engaged response wants at that
-  /// router; disengaging deactivates exclusive routers outright and
-  /// RETARGETS shared ones (engines cannot shrink their victim set
-  /// without a flush, so shared routers are flushed and re-activated
-  /// with the remaining union).
+  /// Engages or extends one victim's response at `routers`, immediately
+  /// (any signaling delay has already elapsed). Every router new to this
+  /// response has its actuators activated with the union of victims
+  /// every engaged response wants there (activation is additive, so an
+  /// actuator already defending another victim just gains this one).
+  /// No-op when `routers` is empty; already-engaged routers are skipped.
+  /// Fires the trigger callback on the first engagement overall.
+  void engage_victim(util::Addr victim,
+                     const std::vector<sim::NodeId>& routers);
 
-  /// Engages or extends the response for one victim. No-op when `atrs`
-  /// is empty; already-engaged ATRs are skipped. Fires the trigger
-  /// callback on the first engagement overall.
-  void engage_victim(util::Addr victim, sim::NodeId victim_router,
-                     const std::vector<AtrScore>& atrs);
-
-  /// Tears down one victim's response (detector cleared, unlatched).
+  /// Tears down one victim's response. Routers no other engaged victim
+  /// wants are deactivated; shared ones are RETARGETED (engines cannot
+  /// shrink their victim set without a flush, so they are flushed and
+  /// re-activated with the remaining union).
   void disengage_victim(util::Addr victim);
+
+  /// Delivers one "Pushback Continue?" keep-alive to every actuator at
+  /// `router`.
+  void refresh(sim::NodeId router);
 
   /// Per-victim responses, keyed (and iterated) in address order.
   const std::map<util::Addr, VictimResponse>& responses() const noexcept {
@@ -105,44 +85,20 @@ class PushbackCoordinator {
   /// Shared-router flush+re-activate cycles performed by disengage.
   std::uint64_t retargets() const noexcept { return retargets_; }
 
-  /// Manually ends the response (also invoked on detector clear when not
-  /// latched). Tears down both the legacy single-victim response and
-  /// every engaged multi-victim response.
-  void cancel();
-
  private:
-  void on_alarm(const AttackAlarm& alarm,
-                const sketch::TrafficMatrixSnapshot& snap);
-  /// Identifies ATRs from `snap` and activates any new ones. Called on the
-  /// alarm transition and again on every epoch while the alarm persists,
-  /// so late-ramping attack sources are still caught.
-  void engage(const sketch::TrafficMatrixSnapshot& snap);
-  void on_clear(sim::NodeId router, double time);
-  void activate_router(sim::NodeId router);
-  void refresh_tick();
   /// Union of victim addresses every *engaged* response wants defended
   /// at `router` (address-ordered map walk: deterministic).
   core::VictimSet victims_for_router(sim::NodeId router) const;
-  void start_refresh_loop();
 
   sim::Simulator* sim_;
-  Config cfg_;
-  VictimDetector detector_;
-
-  sim::NodeId victim_router_ = sim::kInvalidNode;
-  core::VictimSet victims_;
-
   /// Ordered by router id: control-plane only (registration + activation
-  /// lookups), and any future walk over all actuators is deterministic.
+  /// lookups), and any walk over all actuators is deterministic.
   std::map<sim::NodeId, std::vector<core::DefenseActuator*>> actuators_;
-  std::vector<sim::NodeId> active_atrs_;
   std::map<util::Addr, VictimResponse> responses_;
   std::uint64_t retargets_ = 0;
 
   bool triggered_ = false;
   double trigger_time_ = 0.0;
-  bool refreshing_ = false;
-  sim::EventId refresh_event_ = sim::kInvalidEvent;
   TriggerCallback on_trigger_;
 };
 

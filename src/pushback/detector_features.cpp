@@ -1,47 +1,88 @@
 #include "pushback/detector_features.hpp"
 
+#include <algorithm>
+
 namespace mafic::pushback {
 
-DetectorFeaturePipeline::DetectorFeaturePipeline(FeatureConfig cfg)
-    : cfg_(cfg), ewma_(cfg.ewma) {}
+DetectorFeaturePipeline::DetectorFeaturePipeline(Config cfg,
+                                                 double fan_in_floor)
+    : cfg_(cfg), fan_in_floor_(fan_in_floor) {}
+
+DetectorFeaturePipeline::RouterState& DetectorFeaturePipeline::router_state(
+    sim::NodeId router) {
+  for (RouterState& rs : routers_) {
+    if (rs.router == router) return rs;
+  }
+  return routers_.emplace_back(router, cfg_.ewma_alpha);
+}
+
+void DetectorFeaturePipeline::step_rule(RouterState& rs, double d) const {
+  ++rs.epochs_seen;
+  if (!rs.alarming) {
+    const double base = rs.baseline.initialized()
+                            ? rs.baseline.value()
+                            : d;  // first epoch: self-baseline
+    const bool warm = rs.epochs_seen > cfg_.warmup_epochs;
+    const bool high = d > std::max(cfg_.min_packets_per_epoch,
+                                   cfg_.trigger_factor * base) &&
+                      rs.baseline.initialized();
+    if (warm && high) {
+      rs.alarming = true;
+      return;  // baseline frozen while alarming
+    }
+    rs.baseline.update(d);
+    return;
+  }
+  // Clear hysteresis honours the same absolute floor the trigger applies:
+  // traffic that has subsided BELOW the floor could never re-trigger and
+  // must clear — otherwise a flood over a small frozen baseline (e.g.
+  // base 30, floor 100) that drops to 50 pkts/epoch keeps the router
+  // alarming forever and the baseline never thaws.
+  const double clear_below =
+      std::max(cfg_.clear_factor * std::max(rs.baseline.value(), 1.0),
+               cfg_.min_packets_per_epoch);
+  if (d < clear_below) {
+    rs.alarming = false;
+    rs.baseline.update(d);
+  }
+}
 
 std::vector<VictimDecision> DetectorFeaturePipeline::step(
     const sketch::ControlSnapshot& snap) {
-  // The |Dj| detector walks every router; baselines for non-victim
-  // routers cost a few doubles each and keep its semantics identical to
-  // the inline single-victim path.
-  ewma_.on_epoch(snap.matrix);
   ++epochs_;
-
-  if (states_.size() < snap.victims.size()) {
-    states_.resize(snap.victims.size());
+  if (victims_.size() < snap.victims.size()) {
+    victims_.resize(snap.victims.size());
   }
 
   std::vector<VictimDecision> out;
   out.reserve(snap.victims.size());
   for (std::size_t vi = 0; vi < snap.victims.size(); ++vi) {
     const auto& sample = snap.victims[vi];
-    auto& st = states_[vi];
+    const sim::NodeId router = sample.last_hop_router;
+    const bool in_matrix = router < snap.matrix.d.size();
+    auto& st = victims_[vi];
 
     VictimDecision dec;
     dec.victim = sample.victim;
-    dec.router = sample.last_hop_router;
+    dec.router = router;
 
     FeatureVector& f = dec.features;
-    f.d = sample.last_hop_router < snap.matrix.d.size()
-              ? snap.matrix.d_count(sample.last_hop_router)
-              : 0.0;
-    f.baseline = ewma_.baseline(sample.last_hop_router);
+    f.d = in_matrix ? snap.matrix.d_count(router) : 0.0;
+    // Victims behind one router share its rule state: step it once.
+    RouterState& rs = router_state(router);
+    if (rs.stepped_epoch != epochs_) {
+      rs.stepped_epoch = epochs_;
+      step_rule(rs, f.d);
+    }
+    f.baseline = rs.baseline.value();
     f.velocity = st.have_prev_d ? f.d - st.prev_d : 0.0;
     st.prev_d = f.d;
     st.have_prev_d = true;
 
-    if (sample.last_hop_router < snap.matrix.s.size()) {
+    if (in_matrix) {
       for (sim::NodeId i = 0;
            i < static_cast<sim::NodeId>(snap.matrix.s.size()); ++i) {
-        if (snap.matrix.a(i, sample.last_hop_router) >= cfg_.fan_in_floor) {
-          f.fan_in += 1.0;
-        }
+        if (snap.matrix.a(i, router) >= fan_in_floor_) f.fan_in += 1.0;
       }
     }
 
@@ -56,17 +97,10 @@ std::vector<VictimDecision> DetectorFeaturePipeline::step(
     st.prev_share = f.malicious_share;
     st.have_prev_share = true;
 
-    // Extra gates (default off): level-triggered, no hysteresis.
-    st.gate_alarming =
-        (cfg_.velocity_trigger > 0.0 && f.velocity >= cfg_.velocity_trigger) ||
-        (cfg_.fan_in_trigger > 0.0 && f.fan_in >= cfg_.fan_in_trigger);
-
-    const bool now_alarming =
-        ewma_.alarming(sample.last_hop_router) || st.gate_alarming;
-    dec.raised = now_alarming && !st.alarming;
-    dec.cleared = !now_alarming && st.alarming;
-    dec.alarming = now_alarming;
-    st.alarming = now_alarming;
+    dec.raised = rs.alarming && !st.alarming;
+    dec.cleared = !rs.alarming && st.alarming;
+    dec.alarming = rs.alarming;
+    st.alarming = rs.alarming;
 
     out.push_back(dec);
   }

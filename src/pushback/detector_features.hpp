@@ -1,38 +1,40 @@
 #pragma once
 
 /// \file detector_features.hpp
-/// Per-victim feature extraction + alarm decision for the asynchronous
+/// Per-victim alarm decision + feature extraction for the asynchronous
 /// control plane. Each epoch the pipeline consumes one frozen
 /// ControlSnapshot and, for every protected destination, emits a
 /// FeatureVector (|Dj|, EWMA baseline, flow-arrival velocity, ingress
 /// fan-in, decision-population shift) plus the alarm transition for that
 /// victim.
 ///
-/// The alarm rule itself is still the paper's abnormal-|Dj| test — the
-/// pipeline embeds a VictimDetector so trigger/clear/warmup/freeze
-/// semantics are literally the same code path the inline detector uses.
-/// The extra features ship in the vector for reporting, and two optional
-/// gates (velocity, fan-in) can ALSO raise an alarm; both default to
-/// "off" so the pipeline's default decision is bit-identical to the
-/// plain detector.
+/// The alarm rule is the paper's abnormal-|Dj| test (section II): after a
+/// warmup, the victim's last-hop router alarms when its egress
+/// cardinality |Dj| exceeds both an absolute floor and a multiple of its
+/// EWMA baseline, and clears when |Dj| drops below the clear threshold
+/// (which honours the same floor). The baseline freezes while the router
+/// alarms so the attack does not poison it. EWMA state is kept only for
+/// protected last-hop routers — victims behind the same router share it
+/// — and starts at the first epoch that router is protected. The other
+/// features ship in the vector for reporting; they never raise an alarm.
 ///
 /// Everything here is a pure function of the snapshot plus the
-/// pipeline's own per-victim state: no live datapath access, so a step
-/// may run on a ShardWorkerPool worker (the submitting sim thread joins
-/// before reading the results).
+/// pipeline's own state: no live datapath access, so a step may run on a
+/// ShardWorkerPool worker (the submitting sim thread joins before reading
+/// the results).
 
 #include <cstdint>
 #include <vector>
 
-#include "pushback/victim_detector.hpp"
 #include "sketch/control_snapshot.hpp"
+#include "util/stats.hpp"
 
 namespace mafic::pushback {
 
 /// One epoch's observations for one protected destination.
 struct FeatureVector {
   double d = 0.0;         ///< |Dj| estimate at the victim's last-hop router
-  double baseline = 0.0;  ///< EWMA baseline (pre-update, frozen if alarming)
+  double baseline = 0.0;  ///< EWMA baseline after this epoch's rule step
   /// Change in |Dj| versus the previous epoch (first epoch: 0). The
   /// "flow-arrival velocity" proxy: distinct-packet growth per epoch.
   double velocity = 0.0;
@@ -48,19 +50,6 @@ struct FeatureVector {
   double population_shift = 0.0;
 };
 
-struct FeatureConfig {
-  /// The abnormal-|Dj| rule (trigger/clear factors, warmup, floor, alpha).
-  VictimDetector::Config ewma{};
-  /// a_ij floor for counting an ingress router into fan_in.
-  double fan_in_floor = 10.0;
-  /// Optional extra alarm gates; 0 disables. When enabled, a victim also
-  /// alarms (no hysteresis — the gate clears as soon as the condition
-  /// stops holding) while velocity >= velocity_trigger or fan_in >=
-  /// fan_in_trigger.
-  double velocity_trigger = 0.0;
-  double fan_in_trigger = 0.0;
-};
-
 /// Alarm transition for one victim after one epoch.
 struct VictimDecision {
   util::Addr victim = util::kInvalidAddr;
@@ -73,32 +62,60 @@ struct VictimDecision {
 
 class DetectorFeaturePipeline {
  public:
-  DetectorFeaturePipeline() : DetectorFeaturePipeline(FeatureConfig{}) {}
-  explicit DetectorFeaturePipeline(FeatureConfig cfg);
+  /// The abnormal-|Dj| rule.
+  struct Config {
+    int warmup_epochs = 3;       ///< epochs before detection may fire
+    double trigger_factor = 2.5; ///< alarm when d > factor * baseline
+    double clear_factor = 1.5;   ///< clear when d < factor * baseline
+    double min_packets_per_epoch = 100.0;  ///< absolute floor for alarms
+    double ewma_alpha = 0.3;
+  };
 
-  /// Consumes one epoch snapshot: feeds the |Dj| detector over every
-  /// router, then extracts features and the combined decision for each
+  /// `fan_in_floor` is the a_ij an ingress router needs to count into
+  /// FeatureVector::fan_in (the control plane passes its ATR
+  /// min_intersection).
+  DetectorFeaturePipeline(Config cfg, double fan_in_floor);
+
+  /// Consumes one epoch snapshot: steps the |Dj| rule once per protected
+  /// last-hop router, then extracts features and the decision for each
   /// victim, in snapshot victim order. Deterministic: same snapshot
   /// sequence, same decisions, regardless of which thread calls it.
   std::vector<VictimDecision> step(const sketch::ControlSnapshot& snap);
 
-  const VictimDetector& ewma_detector() const noexcept { return ewma_; }
   std::uint64_t epochs_processed() const noexcept { return epochs_; }
-  const FeatureConfig& config() const noexcept { return cfg_; }
+  const Config& config() const noexcept { return cfg_; }
 
  private:
+  struct RouterState {
+    /// No default constructor on purpose: every state must be built from
+    /// the configured alpha.
+    RouterState(sim::NodeId r, double ewma_alpha)
+        : router(r), baseline(ewma_alpha) {}
+
+    sim::NodeId router;
+    util::Ewma baseline;
+    int epochs_seen = 0;
+    bool alarming = false;
+    std::uint64_t stepped_epoch = 0;  ///< last epoch the rule ran
+  };
+
   struct VictimState {
     double prev_d = 0.0;
     bool have_prev_d = false;
     double prev_share = 0.0;
     bool have_prev_share = false;
-    bool gate_alarming = false;  ///< extra velocity/fan-in gate state
-    bool alarming = false;       ///< combined state after the last epoch
+    bool alarming = false;  ///< state after the last epoch
   };
 
-  FeatureConfig cfg_;
-  VictimDetector ewma_;
-  std::vector<VictimState> states_;
+  /// The router's rule state, created on first use.
+  RouterState& router_state(sim::NodeId router);
+  /// One epoch of the |Dj| rule for one router.
+  void step_rule(RouterState& rs, double d) const;
+
+  Config cfg_;
+  double fan_in_floor_;
+  std::vector<RouterState> routers_;  ///< in first-protected order
+  std::vector<VictimState> victims_;
   std::uint64_t epochs_ = 0;
 };
 

@@ -22,8 +22,8 @@ topology::DomainConfig ExperimentConfig::default_domain() {
   return d;
 }
 
-pushback::PushbackCoordinator::Config ExperimentConfig::default_pushback() {
-  pushback::PushbackCoordinator::Config p;
+pushback::ControlPlane::Config ExperimentConfig::default_pushback() {
+  pushback::ControlPlane::Config p;
   p.latch = true;
   p.control_delay = 0.01;
   p.refresh_interval = 0.25;
@@ -40,6 +40,21 @@ Experiment::Experiment(ExperimentConfig cfg)
       sim_(cfg.mafic.timer_wheel_resolution),
       rng_(cfg.seed),
       ledger_(cfg.series_bin_width) {
+  // Timing that would hang the run or reorder the control plane: a zero
+  // epoch reschedules the monitor at the same instant forever, a zero
+  // refresh interval does the same to the keep-alive once a response
+  // engages, and an apply event must land before the next epoch.
+  if (!(cfg_.epoch_seconds > 0.0)) {
+    throw std::invalid_argument("epoch_seconds must be > 0");
+  }
+  if (!(cfg_.pushback.refresh_interval > 0.0)) {
+    throw std::invalid_argument("pushback.refresh_interval must be > 0");
+  }
+  if (!(cfg_.pushback.control_delay >= 0.0 &&
+        cfg_.pushback.control_delay < cfg_.epoch_seconds)) {
+    throw std::invalid_argument(
+        "pushback.control_delay must be >= 0 and < epoch_seconds");
+  }
   cfg_.mafic.drop_probability = cfg_.drop_probability;
   cfg_.mafic.sft_victim_quota = cfg_.sft_victim_quota;
   if (cfg_.num_shards > 0) {
@@ -299,32 +314,17 @@ void Experiment::build_defense() {
     }
   }
 
-  coordinator_ = std::make_unique<pushback::PushbackCoordinator>(
-      &sim_, cfg_.pushback);
-  // Protect EVERY configured destination. This used to register only the
-  // primary victim, so with extra_victims > 0 detector-mode defense never
-  // engaged for the secondaries and atr.recall silently counted their
-  // ATRs as misses.
-  for (std::size_t i = 0; i < victim_addrs_.size(); ++i) {
-    coordinator_->protect(victim_routers_[i], victim_addrs_[i]);
-  }
+  coordinator_ = std::make_unique<pushback::PushbackCoordinator>(&sim_);
   if (cfg_.trigger == TriggerMode::kDetector) {
-    coordinator_->set_trigger_callback(
-        [this](double t, const std::vector<pushback::AtrScore>&) {
-          if (!ledger_.triggered()) ledger_.set_trigger_time(t);
-        });
+    coordinator_->set_trigger_callback([this](double t) {
+      if (!ledger_.triggered()) ledger_.set_trigger_time(t);
+    });
     // Asynchronous control plane: detection runs against frozen epoch
     // snapshots (as pool work when the threaded datapath is on) and is
-    // applied per victim through the coordinator's actuator registry —
-    // the epoch callback no longer walks the matrix inline.
-    pushback::ControlPlane::Config cp;
-    cp.control_delay = cfg_.pushback.control_delay;
-    cp.latch = cfg_.pushback.latch;
-    cp.atr = cfg_.pushback.atr;
-    cp.features.ewma = cfg_.pushback.detector;
-    cp.features.fan_in_floor = cfg_.pushback.atr.min_intersection;
+    // applied per victim through the coordinator's actuator registry.
+    // Every configured destination is protected, primary first.
     control_plane_ = std::make_unique<pushback::ControlPlane>(
-        &sim_, coordinator_.get(), cp);
+        &sim_, coordinator_.get(), cfg_.pushback);
     for (std::size_t i = 0; i < victim_addrs_.size(); ++i) {
       control_plane_->protect(victim_routers_[i], victim_addrs_[i]);
     }
@@ -404,10 +404,8 @@ void Experiment::build_defense() {
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
-        baseline::ProportionalDropper* raw = filter.get();
+        coordinator_->register_actuator(access.router, filter.get());
         access.uplink->add_head_filter(std::move(filter));
-        proportional_filters_.push_back(raw);
-        coordinator_->register_actuator(access.router, raw);
         break;
       }
       case DefenseKind::kAggregate: {
@@ -416,10 +414,8 @@ void Experiment::build_defense() {
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
-        baseline::AggregateLimiter* raw = filter.get();
+        coordinator_->register_actuator(access.router, filter.get());
         access.uplink->add_head_filter(std::move(filter));
-        aggregate_filters_.push_back(raw);
-        coordinator_->register_actuator(access.router, raw);
         break;
       }
       case DefenseKind::kNone:
@@ -467,30 +463,17 @@ void Experiment::arm_trigger() {
       cfg_.trigger != TriggerMode::kScripted) {
     return;
   }
+  // The notification reaches the scope's routers through the same
+  // registry the control plane uses; actuators register under the
+  // router they sit at, so both scopes resolve to router ids.
   sim_.schedule_at(cfg_.scripted_trigger_time, [this] {
-    if (ledger_.triggered()) return;
     ledger_.set_trigger_time(sim_.now());
-    core::VictimSet victims(victim_addrs_.begin(), victim_addrs_.end());
-    const bool all = cfg_.atr_scope == AtrScope::kAllIngress;
-    std::unordered_set<sim::NodeId> scope;
-    if (!all) {
-      const auto atrs = ground_truth_atrs();
-      scope.insert(atrs.begin(), atrs.end());
-    }
-    auto in_scope = [&](sim::NodeId router) {
-      return all || scope.contains(router);
-    };
-    for (auto* f : mafic_filters_) {
-      if (in_scope(f->atr_node_id())) f->activate(victims);
-    }
-    for (auto* f : sharded_filters_) {
-      if (in_scope(f->atr_node_id())) f->activate(victims);
-    }
-    for (auto* f : proportional_filters_) {
-      if (in_scope(f->location())) f->activate(victims);
-    }
-    for (auto* f : aggregate_filters_) {
-      if (in_scope(f->location())) f->activate(victims);
+    const std::vector<sim::NodeId> routers =
+        cfg_.atr_scope == AtrScope::kAllIngress
+            ? coordinator_->actuator_routers()
+            : ground_truth_atrs();
+    for (const util::Addr victim : victim_addrs_) {
+      coordinator_->engage_victim(victim, routers);
     }
   });
 }
@@ -547,38 +530,27 @@ ExperimentResult Experiment::snapshot_result() const {
 
   // Per-victim decision breakdown (engine-side accounting keyed by the
   // flow label's destination), aggregated across every filter, plus the
-  // control plane's per-victim trigger outcome in detector mode.
+  // victim's response in the registry and its detector alarms.
   for (std::size_t i = 0; i < victim_addrs_.size(); ++i) {
     VictimBreakdown b = victim_breakdown(victim_addrs_[i]);
-    if (control_plane_ != nullptr &&
-        i < control_plane_->statuses().size()) {
-      const auto& st = control_plane_->statuses()[i];
-      b.trigger_time = st.trigger_time;
-      b.clear_time = st.clear_time;
-      b.alarms = st.alarms;
+    if (coordinator_ != nullptr) {
+      const auto& responses = coordinator_->responses();
+      if (const auto it = responses.find(victim_addrs_[i]);
+          it != responses.end()) {
+        b.trigger_time = it->second.trigger_time;
+        b.clear_time = it->second.clear_time;
+      }
+    }
+    if (control_plane_ != nullptr) {
+      b.alarms = control_plane_->statuses()[i].alarms;
     }
     r.per_victim.push_back(b);
   }
 
-  // ATR diagnostics: identified (detector mode) or assumed (scripted).
+  // ATR diagnostics: the routers the registry has engaged, identified by
+  // the detector or assumed by the scripted scope.
   r.atr.ground_truth = ground_truth_atrs();
-  if (control_plane_ != nullptr) {
-    r.atr.identified = control_plane_->active_atrs();
-  } else if (cfg_.trigger == TriggerMode::kDetector &&
-             coordinator_ != nullptr) {
-    r.atr.identified = coordinator_->active_atrs();
-  } else {
-    for (const auto* f : mafic_filters_) {
-      if (f->active()) r.atr.identified.push_back(f->atr_node_id());
-    }
-    for (const auto* f : sharded_filters_) {
-      if (f->active()) r.atr.identified.push_back(f->atr_node_id());
-    }
-    std::sort(r.atr.identified.begin(), r.atr.identified.end());
-    r.atr.identified.erase(
-        std::unique(r.atr.identified.begin(), r.atr.identified.end()),
-        r.atr.identified.end());
-  }
+  if (coordinator_ != nullptr) r.atr.identified = coordinator_->engaged_atrs();
   std::unordered_set<sim::NodeId> truth(r.atr.ground_truth.begin(),
                                         r.atr.ground_truth.end());
   std::size_t hits = 0;

@@ -7,20 +7,24 @@
 /// installs the LogLogCounter taps and MAFIC filters on every ingress
 /// link, runs the pushback pipeline, and reports the five metrics.
 ///
-/// Trigger modes:
+/// Trigger modes. Both notify through the same per-victim response
+/// registry (pushback::PushbackCoordinator::engage_victim):
 ///  * kScripted (default for figure benches): the pushback notification
-///    arrives at a fixed time at the ground-truth ATRs. This mirrors the
-///    paper's evaluation, which studies MAFIC's dropping behaviour *given*
-///    the notification ("On receiving the notification of DDoS attack from
-///    the victim router, each ATR begins dropping packets", section III-A);
-///    detection quality belongs to the set-union substrate of [2].
+///    arrives at a fixed time and engages every protected victim at the
+///    AtrScope's routers. This mirrors the paper's evaluation, which
+///    studies MAFIC's dropping behaviour *given* the notification ("On
+///    receiving the notification of DDoS attack from the victim router,
+///    each ATR begins dropping packets", section III-A); detection
+///    quality belongs to the set-union substrate of [2]. No keep-alive
+///    is sent, so filters stay active for the rest of the run.
 ///  * kDetector: the full pipeline — LogLog sketches, per-epoch traffic
 ///    matrix, |Dj| anomaly detection, a_ij ATR identification — drives the
 ///    activation, asynchronously: a pushback::ControlPlane freezes an
-///    epoch snapshot, runs the feature-based detection step per protected
-///    destination (as a worker-pool task when the threaded datapath is
-///    on), and applies per-victim engage/disengage decisions one control
-///    delay later. Every victim in victim_addrs() is protected.
+///    epoch snapshot, runs the detection step per protected destination
+///    (as a worker-pool task when the threaded datapath is on), applies
+///    per-victim engage/disengage decisions one control delay later, and
+///    refreshes every engaged ATR each refresh_interval. Every victim in
+///    victim_addrs() is protected.
 
 #include <memory>
 #include <vector>
@@ -117,7 +121,7 @@ struct ExperimentConfig {
   /// Additional concurrent victims beyond the domain's primary victim.
   /// Each extra victim is a host attached behind a random ingress router;
   /// legitimate flows and zombies target the victims round-robin, the
-  /// scripted trigger activates every ATR with the full victim set, and
+  /// scripted trigger engages every victim at the scope's ATRs, and
   /// the per-victim decision breakdown lands in
   /// ExperimentResult::per_victim. Flow keys hash the destination, so one
   /// ATR's tables partition naturally per victim. In kDetector mode every
@@ -197,16 +201,20 @@ struct ExperimentConfig {
   std::size_t link_burst_size = 1;
 
   // --- pushback substrate ----------------------------------------------------
+  /// The Experiment constructor throws std::invalid_argument unless
+  /// epoch_seconds > 0, pushback.refresh_interval > 0 and
+  /// 0 <= pushback.control_delay < epoch_seconds (an apply event must
+  /// land before the next epoch's decisions).
   double epoch_seconds = 0.1;
   unsigned sketch_precision_bits = 10;
-  pushback::PushbackCoordinator::Config pushback = default_pushback();
+  pushback::ControlPlane::Config pushback = default_pushback();
 
   // --- measurement -----------------------------------------------------------
   metrics::ReportWindows windows{};
   double series_bin_width = 0.05;
 
   static topology::DomainConfig default_domain();
-  static pushback::PushbackCoordinator::Config default_pushback();
+  static pushback::ControlPlane::Config default_pushback();
 };
 
 /// ATR identification quality relative to ground truth (routers that
@@ -230,12 +238,14 @@ struct VictimBreakdown {
   std::uint64_t evictions = 0;
   /// Subset where this victim, over quota, paid for another victim.
   std::uint64_t quota_evictions = 0;
-  /// Detector-mode control-plane outcome for this victim (kDetector only;
-  /// -1.0 / 0 otherwise). trigger_time is the first apply-event
-  /// engagement; clear_time the last disengagement (unlatched runs).
+  /// This victim's response in the registry, in both trigger modes
+  /// (-1.0 while it never happened): trigger_time is its first
+  /// engagement — the scripted notification time, or the first
+  /// detector apply event; clear_time its last disengagement (unlatched
+  /// detector runs only).
   double trigger_time = -1.0;
   double clear_time = -1.0;
-  std::uint64_t alarms = 0;  ///< detector raise transitions observed
+  std::uint64_t alarms = 0;  ///< detector raise transitions (kDetector)
 };
 
 struct ExperimentResult {
@@ -295,6 +305,8 @@ class Experiment {
   sim::Network& network() noexcept { return *net_; }
   topology::Domain& domain() noexcept { return *domain_; }
   metrics::PacketLedger& ledger() noexcept { return ledger_; }
+  /// Per-victim response registry every actuator is registered with
+  /// (non-null iff a defense is installed).
   pushback::PushbackCoordinator* coordinator() noexcept {
     return coordinator_.get();
   }
@@ -376,8 +388,6 @@ class Experiment {
   // Filters are owned by their links; we keep handles.
   std::vector<core::MaficFilter*> mafic_filters_;
   std::vector<core::ShardedMaficFilter*> sharded_filters_;
-  std::vector<baseline::ProportionalDropper*> proportional_filters_;
-  std::vector<baseline::AggregateLimiter*> aggregate_filters_;
 
   // Router each zombie sits behind (ground truth for diagnostics).
   std::vector<sim::NodeId> zombie_routers_;

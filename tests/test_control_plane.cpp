@@ -1,8 +1,9 @@
 // Asynchronous control-plane detector layer: feature pipeline units,
 // multi-victim coordinator actuation (engage / disengage / retarget),
-// ControlPlane end-to-end sequences against fake actuators, pooled-vs-
-// inline bit-identity, and the multi-victim experiment regression
-// (every protected destination must trigger detector-mode defense).
+// ControlPlane end-to-end sequences against fake actuators (control
+// delay, keep-alive, trigger callback), pooled-vs-inline bit-identity,
+// and the multi-victim experiment regression (every protected
+// destination must trigger detector-mode defense).
 
 #include <gtest/gtest.h>
 
@@ -59,39 +60,10 @@ sketch::ControlSnapshot control_snap(sketch::TrafficMatrixSnapshot matrix,
 
 // --------------------------------------------------------------- pipeline ---
 
-TEST(DetectorFeaturePipeline, DefaultDecisionMatchesPlainDetector) {
-  VictimDetector::Config dcfg;
-  dcfg.warmup_epochs = 2;
-  dcfg.trigger_factor = 2.0;
-  dcfg.clear_factor = 1.5;
-  dcfg.min_packets_per_epoch = 50;
-
-  FeatureConfig fcfg;
-  fcfg.ewma = dcfg;
-  DetectorFeaturePipeline pipe(fcfg);
-  VictimDetector plain(dcfg);
-
-  const sketch::VictimCounterSample v{/*victim=*/42, /*router=*/1, 0, 0, 0,
-                                      0};
-  // Baseline, surge, persist, subside — the combined decision must track
-  // the plain detector exactly when the extra gates are off.
-  const std::uint64_t loads[] = {200, 200, 200, 200, 3000, 3000, 210, 200};
-  std::uint64_t uid = 0;
-  for (const std::uint64_t n : loads) {
-    auto matrix = make_snapshot(3, {{0, 1, n}}, uid);
-    uid += 1000000;
-    plain.on_epoch(matrix);
-    const auto decisions = pipe.step(control_snap(std::move(matrix), {v}));
-    ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].alarming, plain.alarming(1)) << "load " << n;
-  }
-}
-
 TEST(DetectorFeaturePipeline, ComputesVelocityFanInAndPopulationShift) {
-  FeatureConfig fcfg;
-  fcfg.ewma.warmup_epochs = 100;  // keep the EWMA rule quiet
-  fcfg.fan_in_floor = 50.0;
-  DetectorFeaturePipeline pipe(fcfg);
+  DetectorFeaturePipeline::Config cfg;
+  cfg.warmup_epochs = 100;  // keep the |Dj| rule quiet
+  DetectorFeaturePipeline pipe(cfg, /*fan_in_floor=*/50.0);
 
   sketch::VictimCounterSample v;
   v.victim = 42;
@@ -126,27 +98,6 @@ TEST(DetectorFeaturePipeline, ComputesVelocityFanInAndPopulationShift) {
   EXPECT_DOUBLE_EQ(d3[0].features.population_shift, 0.0);
 }
 
-TEST(DetectorFeaturePipeline, VelocityGateRaisesAndClearsWithoutEwma) {
-  FeatureConfig fcfg;
-  fcfg.ewma.warmup_epochs = 100;  // EWMA rule can never fire
-  fcfg.velocity_trigger = 500.0;
-  DetectorFeaturePipeline pipe(fcfg);
-
-  const sketch::VictimCounterSample v{42, 1, 0, 0, 0, 0};
-  auto d1 =
-      pipe.step(control_snap(make_snapshot(2, {{0, 1, 200}}, 0), {v}));
-  EXPECT_FALSE(d1[0].alarming);
-  auto d2 = pipe.step(
-      control_snap(make_snapshot(2, {{0, 1, 2000}}, 10000000), {v}));
-  EXPECT_TRUE(d2[0].raised);
-  EXPECT_TRUE(d2[0].alarming);
-  // Level-triggered: steady volume means zero velocity, so it clears.
-  auto d3 = pipe.step(
-      control_snap(make_snapshot(2, {{0, 1, 2000}}, 20000000), {v}));
-  EXPECT_TRUE(d3[0].cleared);
-  EXPECT_FALSE(d3[0].alarming);
-}
-
 // ------------------------------------------------- coordinator actuation ---
 
 class FakeActuator final : public core::DefenseActuator {
@@ -171,38 +122,21 @@ class FakeActuator final : public core::DefenseActuator {
   core::VictimSet victims;
 };
 
-std::vector<AtrScore> scores_for(std::vector<sim::NodeId> routers) {
-  std::vector<AtrScore> out;
-  for (const sim::NodeId r : routers) {
-    out.push_back(AtrScore{r, 1000.0, 0.5});
-  }
-  return out;
-}
-
-PushbackCoordinator::Config coord_cfg(bool latch = true) {
-  PushbackCoordinator::Config cfg;
-  cfg.control_delay = 0.01;
-  cfg.refresh_interval = 0.1;
-  cfg.latch = latch;
-  return cfg;
-}
-
 TEST(CoordinatorMultiVictim, EngageActivatesPerRouterUnion) {
   sim::Simulator sim;
-  PushbackCoordinator coord(&sim, coord_cfg());
+  PushbackCoordinator coord(&sim);
   FakeActuator a0, a1;
   coord.register_actuator(0, &a0);
   coord.register_actuator(1, &a1);
 
-  coord.engage_victim(/*victim=*/100, /*victim_router=*/2,
-                      scores_for({0, 1}));
+  coord.engage_victim(/*victim=*/100, {0, 1});
   EXPECT_TRUE(a0.active() && a1.active());
   EXPECT_TRUE(a0.victims.contains(100) && a1.victims.contains(100));
   EXPECT_TRUE(coord.triggered());
 
   // Second victim shares router 1 only: a1 gains victim 101, a0 is
   // untouched, and the ATR union covers both routers.
-  coord.engage_victim(/*victim=*/101, /*victim_router=*/3, scores_for({1}));
+  coord.engage_victim(/*victim=*/101, {1});
   EXPECT_FALSE(a0.victims.contains(101));
   EXPECT_TRUE(a1.victims.contains(100) && a1.victims.contains(101));
   EXPECT_EQ(coord.engaged_atrs(), (std::vector<sim::NodeId>{0, 1}));
@@ -211,19 +145,19 @@ TEST(CoordinatorMultiVictim, EngageActivatesPerRouterUnion) {
 
   // Re-engaging with an already-known ATR is a no-op for the actuator.
   const int before = a0.activations;
-  coord.engage_victim(100, 2, scores_for({0}));
+  coord.engage_victim(100, {0});
   EXPECT_EQ(a0.activations, before);
 }
 
 TEST(CoordinatorMultiVictim, DisengageRetargetsSharedRoutersOnly) {
   sim::Simulator sim;
-  PushbackCoordinator coord(&sim, coord_cfg());
+  PushbackCoordinator coord(&sim);
   FakeActuator a0, a1;
   coord.register_actuator(0, &a0);
   coord.register_actuator(1, &a1);
 
-  coord.engage_victim(100, 2, scores_for({0, 1}));
-  coord.engage_victim(101, 3, scores_for({1}));
+  coord.engage_victim(100, {0, 1});
+  coord.engage_victim(101, {1});
 
   coord.disengage_victim(100);
   // Router 0 was exclusive to victim 100: plain deactivation.
@@ -240,33 +174,25 @@ TEST(CoordinatorMultiVictim, DisengageRetargetsSharedRoutersOnly) {
   EXPECT_GE(coord.responses().at(100).trigger_time, 0.0);
 
   // Re-engagement counts and re-activates.
-  coord.engage_victim(100, 2, scores_for({0}));
+  coord.engage_victim(100, {0});
   EXPECT_TRUE(a0.active());
   EXPECT_EQ(coord.responses().at(100).engagements, 2u);
 }
 
-TEST(CoordinatorMultiVictim, RefreshCoversEveryEngagedResponse) {
+TEST(CoordinatorMultiVictim, RegistryAloneSchedulesNoKeepAlive) {
+  // The scripted notification engages through the registry without a
+  // control plane: nothing may be scheduled (the keep-alive belongs to
+  // the sender), so engaging adds no event to a scripted run.
   sim::Simulator sim;
-  PushbackCoordinator coord(&sim, coord_cfg());
-  FakeActuator a0, a1;
+  PushbackCoordinator coord(&sim);
+  FakeActuator a0;
   coord.register_actuator(0, &a0);
-  coord.register_actuator(1, &a1);
-
-  coord.engage_victim(100, 2, scores_for({0}));
-  coord.engage_victim(101, 3, scores_for({1}));
-  sim.run_until(0.35);  // three refresh ticks
-  EXPECT_GE(a0.refreshes, 3);
-  EXPECT_GE(a1.refreshes, 3);
-  // A shared router is refreshed once per tick, not once per victim.
-  coord.engage_victim(101, 3, scores_for({0}));
-  const int base = a0.refreshes;
-  sim.run_until(0.45);
-  EXPECT_LE(a0.refreshes - base, 1);
-
-  coord.cancel();
-  EXPECT_FALSE(a0.active());
-  EXPECT_FALSE(a1.active());
-  EXPECT_TRUE(coord.engaged_atrs().empty());
+  coord.engage_victim(100, {0});
+  coord.engage_victim(101, {0});
+  sim.run_until(5.0);
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(a0.refreshes, 0);
+  EXPECT_TRUE(a0.active());
 }
 
 // ----------------------------------------------------- control plane e2e ---
@@ -276,15 +202,15 @@ struct PlaneHarness {
                         bool latch = false) {
     ControlPlane::Config cfg;
     cfg.control_delay = 0.01;
+    cfg.refresh_interval = 0.1;
     cfg.latch = latch;
     cfg.atr.share_threshold = 0.2;
     cfg.atr.min_intersection = 100;
-    cfg.features.ewma.warmup_epochs = 1;
-    cfg.features.ewma.trigger_factor = 2.0;
-    cfg.features.ewma.clear_factor = 1.5;
-    cfg.features.ewma.min_packets_per_epoch = 50;
-    auto ccfg = coord_cfg(latch);
-    coord = std::make_unique<PushbackCoordinator>(&sim, ccfg);
+    cfg.detector.warmup_epochs = 1;
+    cfg.detector.trigger_factor = 2.0;
+    cfg.detector.clear_factor = 1.5;
+    cfg.detector.min_packets_per_epoch = 50;
+    coord = std::make_unique<PushbackCoordinator>(&sim);
     plane = std::make_unique<ControlPlane>(&sim, coord.get(), cfg);
     coord->register_actuator(0, &a0);
     coord->register_actuator(1, &a1);
@@ -294,13 +220,25 @@ struct PlaneHarness {
     if (pool != nullptr) plane->set_pool(pool);
   }
 
-  /// Schedules one epoch snapshot: router 0 -> victim A's router 2 with
-  /// `to_a` packets, router 1 -> victim B's router 3 with `to_b`.
-  void epoch_at(double t, std::uint64_t to_a, std::uint64_t to_b) {
-    auto snap = make_snapshot(
-        4, {{0, 2, to_a}, {1, 3, to_b}},
-        static_cast<std::uint64_t>(t * 1e9), t);
+  /// Schedules one epoch snapshot carrying `flows`.
+  void epoch_with(double t, std::vector<FlowSpec> flows) {
+    auto snap = make_snapshot(4, std::move(flows),
+                              static_cast<std::uint64_t>(t * 1e9), t);
     sim.schedule_at(t, [this, s = std::move(snap)] { plane->ingest(s); });
+  }
+
+  /// Router 0 -> victim A's router 2 with `to_a` packets, router 1 ->
+  /// victim B's router 3 with `to_b`.
+  void epoch_at(double t, std::uint64_t to_a, std::uint64_t to_b) {
+    epoch_with(t, {{0, 2, to_a}, {1, 3, to_b}});
+  }
+
+  /// The victim's response in the registry (default: never engaged).
+  PushbackCoordinator::VictimResponse response(util::Addr victim) const {
+    const auto it = coord->responses().find(victim);
+    return it == coord->responses().end()
+               ? PushbackCoordinator::VictimResponse{}
+               : it->second;
   }
 
   sim::Simulator sim;
@@ -323,22 +261,113 @@ TEST(ControlPlane, EngagesEachVictimIndependently) {
   const auto& st = h.plane->statuses();
   ASSERT_EQ(st.size(), 2u);
   EXPECT_TRUE(st[0].alarming);
-  EXPECT_TRUE(st[0].engaged);
-  EXPECT_DOUBLE_EQ(st[0].trigger_time, 0.31);  // epoch + control delay
-  EXPECT_EQ(st[0].atrs, (std::vector<sim::NodeId>{0}));
+  EXPECT_TRUE(h.response(100).engaged);
+  EXPECT_DOUBLE_EQ(h.response(100).trigger_time, 0.31);  // epoch + delay
+  EXPECT_EQ(h.response(100).atrs, (std::vector<sim::NodeId>{0}));
   EXPECT_TRUE(h.a0.active());
   EXPECT_TRUE(h.a0.victims.contains(100));
   // Victim B is still quiet: no alarm, no actuation at its ATR.
   EXPECT_FALSE(st[1].alarming);
-  EXPECT_FALSE(st[1].engaged);
+  EXPECT_FALSE(h.response(101).engaged);
   EXPECT_FALSE(h.a1.active());
 
   h.sim.run_until(0.55);
-  EXPECT_TRUE(h.plane->statuses()[1].engaged);
-  EXPECT_DOUBLE_EQ(h.plane->statuses()[1].trigger_time, 0.51);
+  EXPECT_TRUE(h.response(101).engaged);
+  EXPECT_DOUBLE_EQ(h.response(101).trigger_time, 0.51);
   EXPECT_TRUE(h.a1.active());
   EXPECT_TRUE(h.a1.victims.contains(101));
-  EXPECT_EQ(h.plane->active_atrs(), (std::vector<sim::NodeId>{0, 1}));
+  EXPECT_EQ(h.coord->engaged_atrs(), (std::vector<sim::NodeId>{0, 1}));
+  // A's ATR was already engaged when epoch 0.4 re-identified it (read
+  // back from the registry), so only the two raising epochs applied.
+  EXPECT_EQ(h.plane->apply_events(), 2u);
+}
+
+TEST(ControlPlane, ActivatesOnlyAfterControlDelay) {
+  PlaneHarness h;
+  int triggers = 0;
+  double trigger_at = -1.0;
+  h.coord->set_trigger_callback([&](double t) {
+    ++triggers;
+    trigger_at = t;
+  });
+  h.epoch_at(0.1, 200, 200);
+  h.epoch_at(0.2, 5000, 200);  // A floods: alarm at the epoch event
+
+  h.sim.run_until(0.205);
+  EXPECT_TRUE(h.plane->statuses()[0].alarming);
+  EXPECT_FALSE(h.a0.active());  // control delay pending
+  EXPECT_FALSE(h.coord->triggered());
+
+  h.sim.run_until(0.25);
+  EXPECT_TRUE(h.a0.active());
+  EXPECT_TRUE(h.a0.victims.contains(100));
+  EXPECT_FALSE(h.a1.active());
+  EXPECT_EQ(triggers, 1);
+  EXPECT_DOUBLE_EQ(trigger_at, 0.21);
+  EXPECT_DOUBLE_EQ(h.coord->trigger_time(), 0.21);
+}
+
+TEST(ControlPlane, SurgeAtUnprotectedRouterEngagesNothing) {
+  PlaneHarness h;
+  // Router 0 floods router 1, which no victim sits behind.
+  h.epoch_with(0.1, {{0, 1, 200}});
+  h.epoch_with(0.2, {{0, 1, 200}});
+  h.epoch_with(0.3, {{0, 1, 5000}});
+  h.sim.run_until(0.5);
+  for (const auto& st : h.plane->statuses()) {
+    EXPECT_FALSE(st.alarming);
+    EXPECT_EQ(st.alarms, 0u);
+  }
+  EXPECT_FALSE(h.a0.active());
+  EXPECT_FALSE(h.a1.active());
+  EXPECT_FALSE(h.coord->triggered());
+  EXPECT_EQ(h.plane->apply_events(), 0u);
+}
+
+TEST(ControlPlane, TriggerCallbackFiresOnce) {
+  PlaneHarness h(nullptr, /*latch=*/false);
+  int triggers = 0;
+  h.coord->set_trigger_callback([&](double) { ++triggers; });
+  h.epoch_at(0.1, 200, 200);
+  h.epoch_at(0.2, 5000, 200);   // A engages
+  h.epoch_at(0.3, 5000, 5000);  // B engages
+  h.epoch_at(0.4, 210, 210);    // both clear and disengage
+  h.epoch_at(0.5, 5000, 200);   // A re-engages
+  h.sim.run_until(0.6);
+  EXPECT_EQ(h.response(100).engagements, 2u);
+  EXPECT_EQ(h.response(101).engagements, 1u);
+  EXPECT_EQ(triggers, 1);
+}
+
+TEST(ControlPlane, KeepAliveRefreshesEachEngagedAtrOncePerTick) {
+  PlaneHarness h(nullptr, /*latch=*/true);
+  // A is flooded through router 0; B through routers 0 AND 1, so router
+  // 0 is shared by both responses.
+  h.epoch_with(0.1, {{0, 2, 200}, {0, 3, 200}, {1, 3, 200}});
+  h.epoch_with(0.2, {{0, 2, 200}, {0, 3, 200}, {1, 3, 200}});
+  h.epoch_with(0.3, {{0, 2, 3000}, {0, 3, 3000}, {1, 3, 3000}});
+  h.sim.run_until(0.305);
+  EXPECT_EQ(h.a0.refreshes, 0);
+
+  // Engaged at 0.31; ticks every 0.1 s from then on: 0.41 ... 0.71.
+  h.sim.run_until(0.75);
+  EXPECT_EQ(h.response(100).atrs, (std::vector<sim::NodeId>{0}));
+  EXPECT_EQ(h.response(101).atrs, (std::vector<sim::NodeId>{0, 1}));
+  EXPECT_EQ(h.a0.refreshes, 4);  // shared: once per tick, not per victim
+  EXPECT_EQ(h.a1.refreshes, 4);
+}
+
+TEST(ControlPlane, KeepAliveSkipsDisengagedAtrs) {
+  PlaneHarness h(nullptr, /*latch=*/false);
+  h.epoch_at(0.1, 200, 200);
+  h.epoch_at(0.2, 5000, 200);  // A engages at 0.21; ticks from 0.31
+  h.epoch_at(0.35, 210, 200);  // A clears: disengaged at 0.36
+  h.sim.run_until(0.34);
+  EXPECT_EQ(h.a0.refreshes, 1);
+  h.sim.run_until(1.0);
+  EXPECT_FALSE(h.a0.active());
+  EXPECT_EQ(h.a0.refreshes, 1);
+  EXPECT_EQ(h.a1.refreshes, 0);
 }
 
 TEST(ControlPlane, UnlatchedClearDisengagesAndReengages) {
@@ -351,18 +380,18 @@ TEST(ControlPlane, UnlatchedClearDisengagesAndReengages) {
   h.sim.run_until(0.35);
   const auto& st = h.plane->statuses();
   EXPECT_FALSE(st[0].alarming);
-  EXPECT_FALSE(st[0].engaged);
-  EXPECT_DOUBLE_EQ(st[0].clear_time, 0.31);
+  EXPECT_FALSE(h.response(100).engaged);
+  EXPECT_DOUBLE_EQ(h.response(100).clear_time, 0.31);
   EXPECT_FALSE(h.a0.active());
   EXPECT_EQ(st[0].alarms, 1u);
 
   h.sim.run_until(0.45);
-  EXPECT_TRUE(h.plane->statuses()[0].engaged);
+  EXPECT_TRUE(h.response(100).engaged);
   EXPECT_EQ(h.plane->statuses()[0].alarms, 2u);
   EXPECT_TRUE(h.a0.active());
   // The first trigger time is preserved across re-engagements.
-  EXPECT_DOUBLE_EQ(h.plane->statuses()[0].trigger_time, 0.21);
-  EXPECT_EQ(h.coord->responses().at(100).engagements, 2u);
+  EXPECT_DOUBLE_EQ(h.response(100).trigger_time, 0.21);
+  EXPECT_EQ(h.response(100).engagements, 2u);
 }
 
 TEST(ControlPlane, LatchedResponseSurvivesClear) {
@@ -372,10 +401,9 @@ TEST(ControlPlane, LatchedResponseSurvivesClear) {
   h.epoch_at(0.3, 210, 200);  // alarm clears, response must not
 
   h.sim.run_until(0.35);
-  const auto& st = h.plane->statuses();
-  EXPECT_FALSE(st[0].alarming);
-  EXPECT_TRUE(st[0].engaged);
-  EXPECT_LT(st[0].clear_time, 0.0);
+  EXPECT_FALSE(h.plane->statuses()[0].alarming);
+  EXPECT_TRUE(h.response(100).engaged);
+  EXPECT_LT(h.response(100).clear_time, 0.0);
   EXPECT_TRUE(h.a0.active());
 }
 
@@ -399,14 +427,16 @@ TEST(ControlPlane, PooledDetectionIsBitIdenticalToInline) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].alarming, b[i].alarming);
-    EXPECT_EQ(a[i].engaged, b[i].engaged);
     EXPECT_EQ(a[i].alarms, b[i].alarms);
-    EXPECT_DOUBLE_EQ(a[i].trigger_time, b[i].trigger_time);
-    EXPECT_DOUBLE_EQ(a[i].clear_time, b[i].clear_time);
-    EXPECT_EQ(a[i].atrs, b[i].atrs);
     EXPECT_DOUBLE_EQ(a[i].features.d, b[i].features.d);
     EXPECT_DOUBLE_EQ(a[i].features.velocity, b[i].features.velocity);
     EXPECT_DOUBLE_EQ(a[i].features.fan_in, b[i].features.fan_in);
+    const auto ra = inline_h.response(a[i].victim);
+    const auto rb = pooled_h.response(b[i].victim);
+    EXPECT_EQ(ra.engaged, rb.engaged);
+    EXPECT_DOUBLE_EQ(ra.trigger_time, rb.trigger_time);
+    EXPECT_DOUBLE_EQ(ra.clear_time, rb.clear_time);
+    EXPECT_EQ(ra.atrs, rb.atrs);
   }
   EXPECT_EQ(inline_h.a0.activations, pooled_h.a0.activations);
   EXPECT_EQ(inline_h.a1.activations, pooled_h.a1.activations);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace mafic::scenario {
 namespace {
@@ -164,6 +165,66 @@ TEST(ExperimentIntegration, ZombieRouterScopeSparesRemoteLegitFlows) {
   EXPECT_GT(r.metrics.alpha, 0.97);
   // ...and collateral is not worse than the all-ingress default.
   EXPECT_LT(r.metrics.lr, 0.12);
+}
+
+TEST(ExperimentIntegration, ScriptedBaselinesEngageZombieRouterScope) {
+  // Regression: the scripted trigger scoped baseline filters by their
+  // InlineFilter::location(), which for a head filter on an access uplink
+  // is the host, never a zombie router — so kZombieRouters baselines never
+  // engaged (no drop, alpha NaN) and reported no identified ATRs. The
+  // notification now engages the scope's routers through the registry
+  // every actuator is registered with.
+  for (const DefenseKind defense :
+       {DefenseKind::kProportional, DefenseKind::kAggregate}) {
+    SCOPED_TRACE(defense == DefenseKind::kProportional ? "proportional"
+                                                        : "aggregate");
+    ExperimentConfig cfg;
+    cfg.total_flows = 24;
+    cfg.router_count = 10;
+    cfg.seed = 3;
+    cfg.end_time = 6.0;
+    cfg.defense = defense;
+    cfg.atr_scope = AtrScope::kZombieRouters;
+    Experiment exp(cfg);
+    const auto r = exp.run();
+    ASSERT_TRUE(r.metrics.triggered);
+    EXPECT_GT(r.metrics.malicious_dropped, 0u);
+    EXPECT_FALSE(r.atr.ground_truth.empty());
+    EXPECT_EQ(r.atr.identified, r.atr.ground_truth);
+    // Every victim reports the notification as its engagement time.
+    for (const auto& pv : r.per_victim) {
+      EXPECT_DOUBLE_EQ(pv.trigger_time, cfg.scripted_trigger_time);
+    }
+  }
+}
+
+TEST(ExperimentConfigValidation, ZeroEpochThrows) {
+  // A zero epoch used to hang the run: the traffic monitor rescheduled
+  // itself at the same instant forever.
+  auto cfg = small_config();
+  cfg.epoch_seconds = 0.0;
+  EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
+}
+
+TEST(ExperimentConfigValidation, ZeroRefreshIntervalThrows) {
+  // A zero keep-alive interval used to hang a detector run as soon as a
+  // response engaged.
+  auto cfg = small_config();
+  cfg.pushback.refresh_interval = 0.0;
+  EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
+}
+
+TEST(ExperimentConfigValidation, ControlDelayNotBelowEpochThrows) {
+  // An apply event must land before the next epoch's decisions.
+  auto cfg = small_config();
+  cfg.pushback.control_delay = cfg.epoch_seconds;
+  EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
+}
+
+TEST(ExperimentConfigValidation, NegativeControlDelayThrows) {
+  auto cfg = small_config();
+  cfg.pushback.control_delay = -0.01;
+  EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
 }
 
 TEST(ExperimentIntegration, FilterConservation) {

@@ -1,9 +1,18 @@
+// Pushback building blocks: the abnormal-|Dj| rule of the detector
+// pipeline, ATR identification, and a model-based fuzz of the per-victim
+// response registry.
+
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <vector>
 
 #include "pushback/atr_identifier.hpp"
 #include "pushback/coordinator.hpp"
-#include "pushback/victim_detector.hpp"
+#include "pushback/detector_features.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace mafic::pushback {
 namespace {
@@ -29,160 +38,198 @@ sketch::TrafficMatrixSnapshot make_snapshot(std::size_t routers,
   return snap;
 }
 
-TEST(VictimDetector, AlarmsOnSuddenSurge) {
-  VictimDetector::Config cfg;
+/// Wraps a matrix into a control snapshot with one victim (address
+/// 100 + router) behind each of `victim_routers`.
+sketch::ControlSnapshot with_victims(
+    sketch::TrafficMatrixSnapshot matrix,
+    const std::vector<sim::NodeId>& victim_routers = {1}) {
+  sketch::ControlSnapshot cs;
+  cs.matrix = std::move(matrix);
+  for (const sim::NodeId r : victim_routers) {
+    sketch::VictimCounterSample v;
+    v.victim = 100 + r;
+    v.last_hop_router = r;
+    cs.victims.push_back(v);
+  }
+  return cs;
+}
+
+/// One-victim rule step: the decision for the victim behind router 1.
+VictimDecision step1(DetectorFeaturePipeline& pipe,
+                     sketch::TrafficMatrixSnapshot matrix) {
+  return pipe.step(with_victims(std::move(matrix))).at(0);
+}
+
+constexpr double kFanInFloor = 20.0;
+
+// ------------------------------------------------------- the |Dj| rule ---
+
+TEST(DetectorRule, AlarmsOnSuddenSurge) {
+  DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 2;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 50;
-  VictimDetector det(cfg);
-  std::vector<AttackAlarm> alarms;
-  det.set_alarm_callback(
-      [&](const AttackAlarm& a, const sketch::TrafficMatrixSnapshot&) {
-        alarms.push_back(a);
-      });
+  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
 
-  // Baseline epochs: ~200 packets to router 1.
+  // Baseline epochs: ~200 packets to router 1. A second victim sits
+  // behind router 0, which only sends.
   for (int e = 0; e < 5; ++e) {
-    det.on_epoch(make_snapshot(3, 0, 1, 200, e * 1000000ULL));
+    const auto d =
+        pipe.step(with_victims(make_snapshot(3, 0, 1, 200, e * 1000000ULL),
+                               {1, 0}));
+    EXPECT_FALSE(d[0].alarming || d[1].alarming) << "epoch " << e;
   }
-  EXPECT_TRUE(alarms.empty());
   // Surge: 2000 packets.
-  det.on_epoch(make_snapshot(3, 0, 1, 2000, 99000000ULL));
-  ASSERT_EQ(alarms.size(), 1u);
-  EXPECT_EQ(alarms[0].router, 1u);
-  EXPECT_GT(alarms[0].observed, alarms[0].baseline * 2.0);
-  EXPECT_TRUE(det.alarming(1));
-  EXPECT_FALSE(det.alarming(0));
+  const auto d = pipe.step(
+      with_victims(make_snapshot(3, 0, 1, 2000, 99000000ULL), {1, 0}));
+  EXPECT_TRUE(d[0].raised);
+  EXPECT_TRUE(d[0].alarming);
+  EXPECT_GT(d[0].features.d, d[0].features.baseline * 2.0);
+  EXPECT_FALSE(d[1].alarming);
 }
 
-TEST(VictimDetector, NoAlarmDuringWarmup) {
-  VictimDetector::Config cfg;
+TEST(DetectorRule, NoAlarmDuringWarmup) {
+  DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 10;
-  VictimDetector det(cfg);
-  int alarms = 0;
-  det.set_alarm_callback(
-      [&](const AttackAlarm&, const sketch::TrafficMatrixSnapshot&) {
-        ++alarms;
-      });
-  det.on_epoch(make_snapshot(2, 0, 1, 100));
-  det.on_epoch(make_snapshot(2, 0, 1, 5000, 1000000));
-  EXPECT_EQ(alarms, 0);
+  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  EXPECT_FALSE(step1(pipe, make_snapshot(2, 0, 1, 100)).alarming);
+  EXPECT_FALSE(step1(pipe, make_snapshot(2, 0, 1, 5000, 1000000)).alarming);
 }
 
-TEST(VictimDetector, AbsoluteFloorSuppressesTinyTraffic) {
-  VictimDetector::Config cfg;
+TEST(DetectorRule, AbsoluteFloorSuppressesTinyTraffic) {
+  DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 1;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 1000;
-  VictimDetector det(cfg);
-  int alarms = 0;
-  det.set_alarm_callback(
-      [&](const AttackAlarm&, const sketch::TrafficMatrixSnapshot&) {
-        ++alarms;
-      });
+  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
   for (int e = 0; e < 3; ++e) {
-    det.on_epoch(make_snapshot(2, 0, 1, 20, e * 1000000ULL));
+    step1(pipe, make_snapshot(2, 0, 1, 20, e * 1000000ULL));
   }
-  det.on_epoch(make_snapshot(2, 0, 1, 200, 99000000ULL));  // 10x but tiny
-  EXPECT_EQ(alarms, 0);
+  // 10x the baseline, but under the floor.
+  EXPECT_FALSE(step1(pipe, make_snapshot(2, 0, 1, 200, 99000000ULL)).raised);
 }
 
-TEST(VictimDetector, ClearsWhenTrafficSubsides) {
-  VictimDetector::Config cfg;
+TEST(DetectorRule, ClearsWhenTrafficSubsides) {
+  DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 1;
   cfg.trigger_factor = 2.0;
   cfg.clear_factor = 1.5;
   cfg.min_packets_per_epoch = 50;
-  VictimDetector det(cfg);
-  std::vector<sim::NodeId> cleared;
-  det.set_clear_callback(
-      [&](sim::NodeId r, double) { cleared.push_back(r); });
+  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
 
   for (int e = 0; e < 3; ++e) {
-    det.on_epoch(make_snapshot(2, 0, 1, 200, e * 1000000ULL));
+    step1(pipe, make_snapshot(2, 0, 1, 200, e * 1000000ULL));
   }
-  det.on_epoch(make_snapshot(2, 0, 1, 2000, 90000000ULL));  // alarm
-  EXPECT_TRUE(det.alarming(1));
-  det.on_epoch(make_snapshot(2, 0, 1, 210, 91000000ULL));  // back to normal
-  EXPECT_FALSE(det.alarming(1));
-  ASSERT_EQ(cleared.size(), 1u);
-  EXPECT_EQ(cleared[0], 1u);
+  EXPECT_TRUE(step1(pipe, make_snapshot(2, 0, 1, 2000, 90000000ULL)).raised);
+  const auto back = step1(pipe, make_snapshot(2, 0, 1, 210, 91000000ULL));
+  EXPECT_TRUE(back.cleared);
+  EXPECT_FALSE(back.alarming);
 }
 
-TEST(VictimDetector, ClearsWhenAttackSubsidesBelowTriggerFloor) {
+TEST(DetectorRule, ClearsWhenAttackSubsidesBelowTriggerFloor) {
   // Regression: the trigger path floors at min_packets_per_epoch, but the
   // clear path used to check only d < clear_factor * max(base, 1). With a
   // small frozen baseline (30 << floor 100) an attack subsiding to
   // 50 pkts/epoch — below the floor, i.e. unable to ever re-trigger —
   // kept the router alarming forever and the baseline frozen.
-  VictimDetector::Config cfg;
+  DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 1;
   cfg.trigger_factor = 2.5;
   cfg.clear_factor = 1.5;
   cfg.min_packets_per_epoch = 100;
-  VictimDetector det(cfg);
-  std::vector<sim::NodeId> cleared;
-  det.set_clear_callback(
-      [&](sim::NodeId r, double) { cleared.push_back(r); });
+  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
 
   // Small baseline (~30/epoch), well under the alarm floor.
   for (int e = 0; e < 3; ++e) {
-    det.on_epoch(make_snapshot(2, 0, 1, 30, e * 1000000ULL));
+    EXPECT_FALSE(
+        step1(pipe, make_snapshot(2, 0, 1, 30, e * 1000000ULL)).alarming);
   }
-  EXPECT_FALSE(det.alarming(1));
-  det.on_epoch(make_snapshot(2, 0, 1, 3000, 90000000ULL));  // alarm
-  ASSERT_TRUE(det.alarming(1));
+  ASSERT_TRUE(
+      step1(pipe, make_snapshot(2, 0, 1, 3000, 90000000ULL)).alarming);
   // Subside to 50/epoch: above 1.5 * 30 = 45, but below the 100 floor.
   // Must clear (and keep clearing on repeat epochs, baseline thawed).
-  det.on_epoch(make_snapshot(2, 0, 1, 50, 91000000ULL));
-  EXPECT_FALSE(det.alarming(1));
-  ASSERT_EQ(cleared.size(), 1u);
-  EXPECT_EQ(cleared[0], 1u);
-  det.on_epoch(make_snapshot(2, 0, 1, 50, 92000000ULL));
-  EXPECT_FALSE(det.alarming(1));
-  EXPECT_GT(det.baseline(1), 30.0);  // baseline resumed tracking
+  const auto first = step1(pipe, make_snapshot(2, 0, 1, 50, 91000000ULL));
+  EXPECT_TRUE(first.cleared);
+  EXPECT_FALSE(first.alarming);
+  const auto again = step1(pipe, make_snapshot(2, 0, 1, 50, 92000000ULL));
+  EXPECT_FALSE(again.alarming);
+  EXPECT_FALSE(again.cleared);
+  EXPECT_GT(again.features.baseline, 30.0);  // baseline resumed tracking
 }
 
-TEST(VictimDetector, ConfiguredEwmaAlphaChangesDetection) {
-  // Regression for the dead RouterState{0.3} member default: a
-  // non-default ewma_alpha must actually change when the detector fires.
+TEST(DetectorRule, ConfiguredEwmaAlphaChangesDetection) {
+  // A non-default ewma_alpha must actually change when the rule fires.
   // Baseline ramps 100, 200, ..., then a 900-packet epoch arrives. With
   // alpha=1.0 the baseline tracks the last sample (400) so 900 < 2.5*400
   // stays quiet; with a tiny alpha the baseline barely moves off 100 and
   // 900 > 2.5*~110 alarms.
   const auto alarms_with_alpha = [](double alpha) {
-    VictimDetector::Config cfg;
+    DetectorFeaturePipeline::Config cfg;
     cfg.warmup_epochs = 1;
     cfg.trigger_factor = 2.5;
     cfg.min_packets_per_epoch = 50;
     cfg.ewma_alpha = alpha;
-    VictimDetector det(cfg);
+    DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+    int raised = 0;
     for (int e = 1; e <= 4; ++e) {
-      det.on_epoch(make_snapshot(2, 0, 1, 100ULL * e, e * 1000000ULL));
+      raised += step1(pipe, make_snapshot(2, 0, 1, 100ULL * e,
+                                          e * 1000000ULL)).raised;
     }
-    det.on_epoch(make_snapshot(2, 0, 1, 900, 99000000ULL));
-    return det.alarms_raised();
+    raised += step1(pipe, make_snapshot(2, 0, 1, 900, 99000000ULL)).raised;
+    return raised;
   };
-  EXPECT_EQ(alarms_with_alpha(1.0), 0u);
-  EXPECT_EQ(alarms_with_alpha(0.05), 1u);
+  EXPECT_EQ(alarms_with_alpha(1.0), 0);
+  EXPECT_EQ(alarms_with_alpha(0.05), 1);
 }
 
-TEST(VictimDetector, BaselineFrozenWhileAlarming) {
-  VictimDetector::Config cfg;
+TEST(DetectorRule, BaselineFrozenWhileAlarming) {
+  DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 1;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 50;
-  VictimDetector det(cfg);
+  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  double base_before = 0.0;
   for (int e = 0; e < 3; ++e) {
-    det.on_epoch(make_snapshot(2, 0, 1, 200, e * 1000000ULL));
+    base_before =
+        step1(pipe, make_snapshot(2, 0, 1, 200, e * 1000000ULL))
+            .features.baseline;
   }
-  const double base_before = det.baseline(1);
+  VictimDecision d;
   for (int e = 0; e < 5; ++e) {  // sustained attack epochs
-    det.on_epoch(make_snapshot(2, 0, 1, 3000, (10 + e) * 1000000ULL));
+    d = step1(pipe, make_snapshot(2, 0, 1, 3000, (10 + e) * 1000000ULL));
   }
-  EXPECT_TRUE(det.alarming(1));
-  EXPECT_NEAR(det.baseline(1), base_before, base_before * 0.05);
+  EXPECT_TRUE(d.alarming);
+  EXPECT_NEAR(d.features.baseline, base_before, base_before * 0.05);
 }
+
+TEST(DetectorRule, VictimsBehindOneRouterShareOneRuleStep) {
+  // Two victims behind router 1 must see the rule exactly as one victim
+  // does: the router's state steps once per epoch, not once per victim
+  // (twice would halve the warmup and double the EWMA weight).
+  DetectorFeaturePipeline::Config cfg;
+  cfg.warmup_epochs = 3;
+  cfg.trigger_factor = 2.0;
+  cfg.min_packets_per_epoch = 50;
+  DetectorFeaturePipeline alone(cfg, kFanInFloor);
+  DetectorFeaturePipeline shared(cfg, kFanInFloor);
+  const std::uint64_t loads[] = {200, 220, 3000, 3000, 210, 200, 3000};
+  std::uint64_t uid = 0;
+  for (const std::uint64_t n : loads) {
+    const auto a = step1(alone, make_snapshot(2, 0, 1, n, uid));
+    const auto s =
+        shared.step(with_victims(make_snapshot(2, 0, 1, n, uid), {1, 1}));
+    uid += 1000000;
+    ASSERT_EQ(s.size(), 2u);
+    for (const VictimDecision& d : s) {
+      EXPECT_EQ(d.alarming, a.alarming) << "load " << n;
+      EXPECT_EQ(d.raised, a.raised) << "load " << n;
+      EXPECT_EQ(d.cleared, a.cleared) << "load " << n;
+      EXPECT_DOUBLE_EQ(d.features.baseline, a.features.baseline);
+    }
+  }
+}
+
+// ----------------------------------------------------- ATR identification ---
 
 TEST(AtrIdentifier, SelectsContributingIngress) {
   // Router 0 sends 5000 packets to victim router 2; router 1 sends 100.
@@ -243,136 +290,149 @@ TEST(AtrIdentifier, EmptySnapshotYieldsNothing) {
   EXPECT_TRUE(identify_atrs(snap, 2, {}).empty());
 }
 
-/// Minimal actuator for coordinator tests.
+// ------------------------------------------- response registry, fuzzed ---
+
+/// Engine-like actuator: activation is additive, deactivation flushes.
 class FakeActuator final : public core::DefenseActuator {
  public:
   void activate(const core::VictimSet& v) override {
     active_ = true;
-    victims = v;
-    ++activations;
+    for (const util::Addr a : v) victims.insert(a);
   }
   void refresh() override { ++refreshes; }
-  void deactivate() override { active_ = false; ++deactivations; }
+  void deactivate() override {
+    active_ = false;
+    victims.clear();
+  }
   bool active() const noexcept override { return active_; }
 
   bool active_ = false;
-  int activations = 0;
   int refreshes = 0;
-  int deactivations = 0;
-  core::VictimSet victims;
+  std::set<util::Addr> victims;
 };
 
-class CoordinatorTest : public ::testing::Test {
- protected:
-  PushbackCoordinator::Config make_cfg(bool latch) {
-    PushbackCoordinator::Config cfg;
-    cfg.control_delay = 0.01;
-    cfg.refresh_interval = 0.1;
-    cfg.latch = latch;
-    cfg.atr.share_threshold = 0.2;
-    cfg.atr.min_intersection = 100;
-    cfg.detector.warmup_epochs = 1;
-    cfg.detector.trigger_factor = 2.0;
-    cfg.detector.min_packets_per_epoch = 50;
-    return cfg;
+TEST(ResponseRegistryFuzz, MatchesVictimSetOracle) {
+  // Seeded interleavings of engage / disengage / keep-alive ticks over 4
+  // victims and 6 routers, checked after every step against an oracle
+  // that only knows which routers each engaged victim lists. It checks
+  // sets, not table contents, so it holds for any retarget mechanism.
+  constexpr int kRouters = 6;
+  constexpr util::Addr kVictims[] = {100, 101, 102, 103};
+  // Actuators per router; router 5 has none (ATRs may be named without
+  // anything to actuate there).
+  constexpr int kPerRouter[kRouters] = {1, 2, 1, 3, 1, 0};
+
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Simulator sim;
+    PushbackCoordinator coord(&sim);
+    std::vector<std::vector<FakeActuator>> actuators(kRouters);
+    for (int r = 0; r < kRouters; ++r) {
+      actuators[r].resize(kPerRouter[r]);
+      for (FakeActuator& a : actuators[r]) {
+        coord.register_actuator(sim::NodeId(r), &a);
+      }
+    }
+    int triggers = 0;
+    coord.set_trigger_callback([&](double) { ++triggers; });
+
+    std::map<util::Addr, std::set<sim::NodeId>> oracle;  // engaged only
+    std::uint64_t retargets = 0;
+    bool ever_engaged = false;
+    util::Rng rng(seed);
+
+    for (int step = 0; step < 150; ++step) {
+      const util::Addr victim = kVictims[rng.index(4)];
+      const double roll = rng.uniform01();
+      if (roll < 0.45) {
+        // Engage at 0..3 routers (duplicates allowed, order random).
+        std::vector<sim::NodeId> routers;
+        const std::size_t n = rng.index(4);
+        for (std::size_t i = 0; i < n; ++i) {
+          routers.push_back(sim::NodeId(rng.index(kRouters)));
+        }
+        coord.engage_victim(victim, routers);
+        if (!routers.empty()) {
+          oracle[victim].insert(routers.begin(), routers.end());
+          ever_engaged = true;
+        }
+      } else if (roll < 0.8) {
+        coord.disengage_victim(victim);
+        const auto it = oracle.find(victim);
+        if (it != oracle.end()) {
+          // A retarget is a flush + re-activate cycle, so only a shared
+          // router with actuators to cycle counts.
+          for (const sim::NodeId r : it->second) {
+            if (kPerRouter[r] == 0) continue;
+            for (const auto& [other, routers] : oracle) {
+              if (other != victim && routers.contains(r)) {
+                ++retargets;
+                break;
+              }
+            }
+          }
+          oracle.erase(it);
+        }
+      } else {
+        // One keep-alive tick, as the control plane sends it.
+        for (const sim::NodeId r : coord.engaged_atrs()) coord.refresh(r);
+      }
+
+      std::set<sim::NodeId> engaged_union;
+      for (const auto& [v, routers] : oracle) {
+        engaged_union.insert(routers.begin(), routers.end());
+      }
+      for (int r = 0; r < kRouters; ++r) {
+        std::set<util::Addr> wanted;
+        for (const auto& [v, routers] : oracle) {
+          if (routers.contains(sim::NodeId(r))) wanted.insert(v);
+        }
+        for (const FakeActuator& a : actuators[r]) {
+          ASSERT_EQ(a.active(), !wanted.empty())
+              << "step " << step << " router " << r;
+          ASSERT_EQ(a.victims, wanted) << "step " << step << " router " << r;
+        }
+      }
+      ASSERT_EQ(coord.engaged_atrs(),
+                std::vector<sim::NodeId>(engaged_union.begin(),
+                                         engaged_union.end()))
+          << "step " << step;
+      ASSERT_EQ(coord.retargets(), retargets) << "step " << step;
+      for (const util::Addr v : kVictims) {
+        const auto it = coord.responses().find(v);
+        const bool engaged = oracle.contains(v);
+        ASSERT_EQ(it != coord.responses().end() && it->second.engaged,
+                  engaged);
+        if (engaged) {
+          ASSERT_EQ(it->second.atrs,
+                    std::vector<sim::NodeId>(oracle[v].begin(),
+                                             oracle[v].end()));
+        }
+      }
+      ASSERT_EQ(triggers, ever_engaged ? 1 : 0) << "step " << step;
+      ASSERT_EQ(coord.triggered(), ever_engaged);
+    }
+
+    // Keep-alive reached every actuator at an engaged router exactly once
+    // per tick: a final tick moves each engaged actuator by one and no
+    // other.
+    std::vector<std::vector<int>> before(kRouters);
+    for (int r = 0; r < kRouters; ++r) {
+      for (const FakeActuator& a : actuators[r]) {
+        before[r].push_back(a.refreshes);
+      }
+    }
+    const auto engaged = coord.engaged_atrs();
+    for (const sim::NodeId r : engaged) coord.refresh(r);
+    for (int r = 0; r < kRouters; ++r) {
+      const bool is_engaged = std::binary_search(
+          engaged.begin(), engaged.end(), sim::NodeId(r));
+      for (std::size_t i = 0; i < actuators[r].size(); ++i) {
+        EXPECT_EQ(actuators[r][i].refreshes - before[r][i],
+                  is_engaged ? 1 : 0);
+      }
+    }
   }
-
-  sim::Simulator sim;
-};
-
-TEST_F(CoordinatorTest, AlarmActivatesAtrActuatorsAfterControlDelay) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  const util::Addr victim_addr = util::make_addr(172, 17, 0, 1);
-  coord.protect(1, victim_addr);
-  FakeActuator at_attacker, at_innocent;
-  coord.register_actuator(0, &at_attacker);
-  coord.register_actuator(2, &at_innocent);
-
-  // Warm up, then surge through ingress router 0.
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  EXPECT_FALSE(at_attacker.active_);  // control delay pending
-  sim.run_until(0.05);
-  EXPECT_TRUE(at_attacker.active_);
-  EXPECT_FALSE(at_innocent.active_);
-  EXPECT_TRUE(at_attacker.victims.contains(victim_addr));
-  EXPECT_TRUE(coord.triggered());
-  ASSERT_EQ(coord.active_atrs().size(), 1u);
-  EXPECT_EQ(coord.active_atrs()[0], 0u);
-}
-
-TEST_F(CoordinatorTest, RefreshLoopKeepsActuatorsAlive) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  sim.run_until(1.0);
-  EXPECT_GE(actuator.refreshes, 8);
-}
-
-TEST_F(CoordinatorTest, CancelDeactivatesEverything) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  sim.run_until(0.1);
-  EXPECT_TRUE(actuator.active_);
-  coord.cancel();
-  EXPECT_FALSE(actuator.active_);
-  EXPECT_EQ(actuator.deactivations, 1);
-  EXPECT_TRUE(coord.active_atrs().empty());
-}
-
-TEST_F(CoordinatorTest, UnlatchedCoordinatorCancelsOnClear) {
-  PushbackCoordinator coord(&sim, make_cfg(false));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  sim.run_until(0.05);
-  EXPECT_TRUE(actuator.active_);
-  // Traffic subsides -> detector clears -> coordinator cancels.
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 210, 3000000));
-  EXPECT_FALSE(actuator.active_);
-}
-
-TEST_F(CoordinatorTest, AlarmsForOtherRoutersIgnored) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));  // protect router 1
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  // Surge toward router 2 (not the protected victim).
-  coord.detector().on_epoch(make_snapshot(3, 0, 2, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 2, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 2, 5000, 2000000));
-  sim.run_until(0.1);
-  EXPECT_FALSE(actuator.active_);
-  EXPECT_FALSE(coord.triggered());
-}
-
-TEST_F(CoordinatorTest, TriggerCallbackFiresOnce) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  int triggers = 0;
-  coord.set_trigger_callback(
-      [&](double, const std::vector<AtrScore>&) { ++triggers; });
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 3000000));
-  sim.run_until(0.5);
-  EXPECT_EQ(triggers, 1);
 }
 
 }  // namespace
