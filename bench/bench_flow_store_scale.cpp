@@ -23,20 +23,12 @@
 //      fast path;
 //   5. sharded sim equivalence holds with per-victim quotas on as well
 //      as off (per-shard quota state is strictly shard-local);
-//   6. the speculative threaded sim path (shard_threads > 0: per-shard
-//      sub-span fan-out to a worker pool + deterministic journal merge)
-//      produces verdicts bit-identical to the serial span walk, timed at
-//      0/2/4 workers in the sim_threaded_sweep tier;
-//   7. fleet tick batching (FleetBurstScheduler as the simulator's tick
-//      drain: ONE pool submission covering every (filter, shard)
-//      sub-span delivered in a tick) stays bit-identical to the serial
-//      walk AND — on a >= 4-core box — beats shard_threads=0 by >= 3x
-//      wall clock at 4 workers over a fleet-scale steady-state scenario
-//      (the sim_fleet_threaded tier; occupancy lands in the trajectory).
 //   8. the generated-scenario price: the catalog's probation-heavy
-//      spoof_churn entry (scenario_spoof_churn tier) runs end-to-end
-//      through the sharded sim at shard_threads 0/2, bit-identically,
-//      and its ns per offered packet lands in the trajectory.
+//      spoof_churn entry (scenario_spoof_churn_t0 tier) runs end-to-end
+//      through the 4-shard sim, and its ns per offered packet lands in
+//      the trajectory.
+// (Numbers 6 and 7 are unused: claim numbers match docs/BENCHMARKS.md,
+// where those two name retired trajectory tiers.)
 //
 // Sharding driver: one thread per shard when the hardware has the cores;
 // on smaller machines the shards run back-to-back on one core and the
@@ -51,16 +43,15 @@
 //
 // Results append to BENCH_flow_store.json (ns/packet and VmRSS per tier);
 // tools/check_bench_regression.py fails CI on a >10% regression at any
-// tier. --smoke runs a small threaded pass only (the TSan CI job's prey).
+// tier. --smoke runs a small threaded shard-driver pass only (the TSan CI
+// job's prey).
 // No Google Benchmark dependency: the loops are self-timed so the alloc
 // counter sees exactly the measured region.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
 #include <thread>
@@ -68,7 +59,6 @@
 
 #include "bench_json.hpp"
 #include "reference_flow_tables.hpp"
-#include "core/fleet_burst_scheduler.hpp"
 #include "core/flow_tables.hpp"
 #include "core/mafic_filter.hpp"
 #include "core/sharded_filter.hpp"
@@ -620,449 +610,6 @@ bool check_sim_sharded_equivalence() {
   return all_ok;
 }
 
-/// Threaded-sim sweep: the same figure-bench-shaped scenario at
-/// shard_threads 0/2/4. Gates threaded-vs-serial verdict equivalence
-/// (the determinism contract of the journal merge) and records wall
-/// clock per simulated event in the trajectory — rows tagged with the
-/// threads convention so serial (t0) and threaded (t2/t4) tiers gate
-/// separately, like the shard_batch rows. Returns false on divergence.
-bool run_sim_threaded_sweep(std::vector<bench::BenchRecord>* records) {
-  scenario::ExperimentConfig base;
-  base.seed = 42;
-  base.total_flows = 32;
-  base.router_count = 12;
-  base.end_time = 6.0;
-  base.link_burst_size = 8;
-  base.num_shards = 4;
-
-  struct SweepRow {
-    std::size_t threads;
-    double ns_per_event;
-    scenario::ExperimentResult result;
-  };
-  std::vector<SweepRow> rows;
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
-    double best = 0;
-    scenario::ExperimentResult result;
-    // Best of three full runs: the run is deterministic, so the repeats
-    // only reject scheduler noise, never change the result.
-    for (int pass = 0; pass < 3; ++pass) {
-      scenario::ExperimentConfig cfg = base;
-      cfg.shard_threads = threads;
-      scenario::Experiment exp(cfg);
-      exp.setup();
-      const double start = now_ns();
-      result = exp.run();
-      const double elapsed = now_ns() - start;
-      if (pass == 0 || elapsed < best) best = elapsed;
-    }
-    rows.push_back({threads, best / double(result.events_processed),
-                    std::move(result)});
-  }
-
-  bool all_ok = true;
-  std::printf("\nsim threaded sweep (4 shards, burst=8, hw threads: %u)\n",
-              std::thread::hardware_concurrency());
-  std::printf("%8s %14s %16s %10s\n", "workers", "ns/event",
-              "events", "verdicts");
-  const scenario::ExperimentResult& serial = rows.front().result;
-  for (const SweepRow& row : rows) {
-    const scenario::ExperimentResult& r = row.result;
-    const bool ok = r.sft_admissions == serial.sft_admissions &&
-                    r.sft_evictions == serial.sft_evictions &&
-                    r.moved_to_nft == serial.moved_to_nft &&
-                    r.moved_to_pdt == serial.moved_to_pdt &&
-                    r.screened_sources == serial.screened_sources &&
-                    r.probes_issued == serial.probes_issued &&
-                    r.events_processed == serial.events_processed &&
-                    r.sft_admissions > 0;
-    std::printf("%8zu %14.2f %16llu %10s\n", row.threads, row.ns_per_event,
-                static_cast<unsigned long long>(r.events_processed),
-                ok ? "identical" : "DIVERGED");
-    all_ok = all_ok && ok;
-    char name[32];
-    std::snprintf(name, sizeof(name), "sim_threaded_t%zu", row.threads);
-    records->push_back({"bench_flow_store_scale", name,
-                        double(base.total_flows), row.ns_per_event,
-                        bench::read_vm_rss_kb(),
-                        row.threads > 0 ? 1 : 0});
-  }
-  return all_ok;
-}
-
-// ---- fleet tick batching: sim_fleet_threaded tier --------------------------
-
-/// Scripted fleet scale. Eight ATR filters x four shards; each filter
-/// owns kFleetFlows resident flows (the fleet's tables together outgrow
-/// L2, so classification pays real memory latency — the regime the
-/// line-rate claim lives in); the measured phase delivers kFleetTicks
-/// same-instant ticks of one kFleetSpan-packet span per filter, so every
-/// tick is one (filters x shards)-task pool submission under fleet
-/// batching and a plain arrival-order walk serially.
-///
-/// The measured window is shaped to be probation-heavy: every flow is
-/// admitted to the SFT just before t=1.0 with a 2 x max_rtt = 0.2 s
-/// response window, and the delivery ticks all land inside that window.
-/// Each measured packet therefore takes the most expensive per-packet
-/// path the filter has — RTT-estimator observe, classify probe, SFT
-/// entry lookup, baseline/probe counting, Pd coin — all of which runs on
-/// the workers, while ~90% of packets drop in probation so the
-/// sim-thread finish walk stays thin. The probation decision timers
-/// fire AFTER the last tick by construction and are excluded from the
-/// timed region (both modes pay them identically anyway).
-constexpr std::size_t kFleetFilters = 8;
-constexpr std::size_t kFleetShards = 4;
-constexpr std::size_t kFleetFlows = 98304;
-constexpr std::size_t kFleetTicks = 80;
-constexpr std::size_t kFleetSpan = 1536;
-constexpr std::size_t kFleetAdmitRounds = 2;  ///< ~1% stragglers remain
-constexpr double kFleetAdmitTime = 0.93;      ///< first admission round
-constexpr double kFleetFirstTick = 1.0;
-constexpr double kFleetTickSpacing = 0.0016;
-/// End of the timed region: past the last delivery tick, before the
-/// earliest probation deadline (kFleetAdmitTime + 0.2).
-constexpr double kFleetMeasureEnd = 1.129;
-
-sim::FlowLabel fleet_label(std::uint32_t id) {
-  return {util::make_addr(60, (id >> 16) & 0xff, (id >> 8) & 0xff,
-                          id & 0xff),
-          util::make_addr(172, 17, 0, 1),
-          std::uint16_t(1024 + (id & 0x3fff)), 80};
-}
-
-/// Survivor sink: count plus an order-sensitive uid hash chain, so two
-/// runs agree only when the same packets survive in the same order.
-class FleetUidSink final : public sim::Connector {
- public:
-  void recv(sim::PacketPtr p) override {
-    ++count;
-    hash = util::mix64(hash ^ p->uid);
-  }
-  std::uint64_t count = 0;
-  std::uint64_t hash = 0x9e3779b97f4a7c15ULL;
-};
-
-struct FleetTierRun {
-  double ns_per_packet = 0;
-  std::uint64_t measured_packets = 0;
-  // Equivalence fingerprint — must be identical across execution modes.
-  std::uint64_t survivors = 0;
-  std::uint64_t survivor_hash = 0;
-  std::uint64_t offered = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t admissions = 0;
-  std::uint64_t evictions = 0;
-  // Mode diagnostics — differ across modes by design.
-  std::uint64_t drains = 0;
-  std::uint64_t coalesced = 0;
-  core::ShardWorkerPool::Occupancy occupancy{};
-
-  bool identical_to(const FleetTierRun& o) const {
-    return survivors == o.survivors && survivor_hash == o.survivor_hash &&
-           offered == o.offered && forwarded == o.forwarded &&
-           admissions == o.admissions && evictions == o.evictions;
-  }
-};
-
-/// One full scripted fleet run. threads == 0 is the serial comparator
-/// (no pool, spans classified inline in arrival order); fleet == true
-/// additionally installs the FleetBurstScheduler tick drain so all
-/// same-tick spans coalesce into one submission.
-FleetTierRun run_sim_fleet_once(std::size_t threads, bool fleet) {
-  sim::Simulator sim;
-  sim::Network net(&sim);
-  sim::PacketFactory factory;
-
-  std::unique_ptr<core::ShardWorkerPool> pool;
-  std::unique_ptr<core::FleetBurstScheduler> sched;
-  if (threads > 0) {
-    pool = std::make_unique<core::ShardWorkerPool>(threads);
-    if (fleet) {
-      sched = std::make_unique<core::FleetBurstScheduler>(pool.get());
-      sim.set_tick_drain(sched.get());
-    }
-  }
-
-  core::MaficConfig cfg;
-  cfg.drop_probability = 0.9;
-  cfg.probe_enabled = false;  // no wired victim topology in this fixture
-  cfg.coin_mode = core::CoinMode::kPacketHash;
-  cfg.coin_seed = 0x5eedULL;
-  // Pin every probation window to 2 x max_rtt = 0.2 s: flows admitted at
-  // kFleetAdmitTime stay suspicious past the last delivery tick, so the
-  // whole measured phase runs the probation path and the decision timers
-  // fire in the untimed tail. (Timestamp echoes can only clamp the RTT
-  // estimate to max_rtt here, so measured-phase observes never shrink a
-  // window.)
-  cfg.default_rtt = cfg.max_rtt;
-  // Every flow can sit in probation at once without capacity churn; the
-  // measured phase prices the steady-state classify path, not eviction.
-  cfg.sft_capacity = kFleetFlows + kFleetFlows / 4;
-  cfg.nft_capacity = 2 * kFleetFlows;
-
-  std::vector<FleetUidSink> sinks(kFleetFilters);
-  std::vector<std::unique_ptr<core::ShardedMaficFilter>> filters;
-  for (std::size_t f = 0; f < kFleetFilters; ++f) {
-    sim::Node* atr =
-        net.add_router(util::make_addr(10, 0, std::uint8_t(f + 1), 1));
-    filters.push_back(std::make_unique<core::ShardedMaficFilter>(
-        &sim, &factory, atr, kFleetShards, cfg, nullptr,
-        0xf1ee7000ULL + f, pool.get()));
-    core::ShardedMaficFilter* filter = filters.back().get();
-    if (fleet && threads > 0) filter->set_fleet(sched.get());
-    filter->set_target(&sinks[f]);
-    filter->activate({util::make_addr(172, 17, 0, 1)});
-  }
-
-  // Measured-phase spans, pre-built so the timed region prices
-  // classification rather than packet construction (construction is
-  // identical serial work in every mode; timing it would only dilute the
-  // speedup under test). uid assignment order is fixed across modes, so
-  // the packet-hash coins are too.
-  util::Rng flow_rng(0xd1ce);
-  std::vector<std::vector<sim::PacketPtr>> spans(kFleetTicks *
-                                                 kFleetFilters);
-  for (std::size_t t = 0; t < kFleetTicks; ++t) {
-    for (std::size_t f = 0; f < kFleetFilters; ++f) {
-      auto& span = spans[t * kFleetFilters + f];
-      span.reserve(kFleetSpan);
-      for (std::size_t j = 0; j < kFleetSpan; ++j) {
-        const auto id = static_cast<std::uint32_t>(
-            f * kFleetFlows + flow_rng.index(kFleetFlows));
-        auto p = factory.make();
-        p->label = fleet_label(id);
-        p->proto = sim::Protocol::kTcp;
-        p->size_bytes = 600;
-        // A live timestamp echo: every packet also exercises the
-        // per-flow RTT estimator, like real ACK-bearing traffic would.
-        p->tsecr = 1e-4;
-        span.push_back(std::move(p));
-      }
-    }
-  }
-
-  const auto schedule = [&sim, fleet](double t, std::function<void()> fn) {
-    // Fleet deliveries are batchable (the LinkTransmitter tags them in
-    // the full Experiment); the serial comparator uses plain events.
-    if (fleet) {
-      sim.schedule_batchable_at(t, std::move(fn));
-    } else {
-      sim.schedule_at(t, std::move(fn));
-    }
-  };
-
-  // Admission rounds (untimed): every flow visits its filter just
-  // before the measured window; Pd opens probation on ~90% per visit, so
-  // two rounds leave ~1% stragglers. Those get admitted during the
-  // measured phase instead — deliberately, so the journal replay + timer
-  // scheduling path is not benched at exactly zero work. Every round's
-  // probation deadline (admit + 2 x max_rtt) lands past the last
-  // delivery tick, measured-phase admissions included.
-  for (std::size_t r = 0; r < kFleetAdmitRounds; ++r) {
-    for (std::size_t f = 0; f < kFleetFilters; ++f) {
-      const double t = kFleetAdmitTime + 0.02 * double(r) + 0.002 * double(f);
-      core::ShardedMaficFilter* filter = filters[f].get();
-      schedule(t, [&factory, filter, f] {
-        std::vector<sim::PacketPtr> pkts;
-        pkts.reserve(kFleetFlows);
-        for (std::size_t i = 0; i < kFleetFlows; ++i) {
-          auto p = factory.make();
-          p->label =
-              fleet_label(static_cast<std::uint32_t>(f * kFleetFlows + i));
-          p->proto = sim::Protocol::kTcp;
-          p->size_bytes = 600;
-          pkts.push_back(std::move(p));
-        }
-        filter->recv_burst(pkts.data(), pkts.size());
-      });
-    }
-  }
-
-  // Measured phase: all filters deliver at the same instant, every tick,
-  // every tick inside every flow's probation window.
-  for (std::size_t t = 0; t < kFleetTicks; ++t) {
-    const double when = kFleetFirstTick + kFleetTickSpacing * double(t);
-    for (std::size_t f = 0; f < kFleetFilters; ++f) {
-      core::ShardedMaficFilter* filter = filters[f].get();
-      auto* span = &spans[t * kFleetFilters + f];
-      schedule(when, [filter, span] {
-        filter->recv_burst(span->data(), span->size());
-        span->clear();
-      });
-    }
-  }
-
-  sim.run_until(kFleetFirstTick - 1e-3);  // admission round, untimed
-  const core::ShardWorkerPool::Occupancy warm =
-      pool != nullptr ? pool->occupancy()
-                      : core::ShardWorkerPool::Occupancy{};
-  const double start = now_ns();
-  sim.run_until(kFleetMeasureEnd);  // the delivery ticks, nothing else
-  const double elapsed = now_ns() - start;
-  const core::ShardWorkerPool::Occupancy timed =
-      pool != nullptr ? pool->occupancy()
-                      : core::ShardWorkerPool::Occupancy{};
-  // Untimed tail: every probation decision fires here, identically in
-  // every mode (pure sim-thread timer work, no pool submissions).
-  sim.run();
-
-  FleetTierRun r;
-  r.measured_packets = kFleetTicks * kFleetFilters * kFleetSpan;
-  r.ns_per_packet = elapsed / double(r.measured_packets);
-  r.survivor_hash = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t f = 0; f < kFleetFilters; ++f) {
-    r.survivors += sinks[f].count;
-    r.survivor_hash = util::mix64(r.survivor_hash ^ sinks[f].hash);
-    r.offered += filters[f]->stats().offered;
-    r.forwarded += filters[f]->stats().forwarded;
-    r.admissions += filters[f]->tables_stats().sft_admissions;
-    r.evictions += filters[f]->tables_stats().sft_evictions;
-  }
-  if (sched != nullptr) {
-    r.drains = sched->drains();
-    r.coalesced = sched->coalesced_drains();
-  }
-  if (pool != nullptr) {
-    // Occupancy over the timed window only (the admission round's share
-    // is subtracted), so tasks/submission and the busy fraction describe
-    // the phase the ns/pkt number was measured on.
-    r.occupancy = timed;
-    r.occupancy.submissions -= warm.submissions;
-    r.occupancy.tasks -= warm.tasks;
-    r.occupancy.busy_ns -= warm.busy_ns;
-    r.occupancy.wall_ns -= warm.wall_ns;
-  }
-  return r;
-}
-
-FleetTierRun run_sim_fleet_tier(std::size_t threads, bool fleet) {
-  FleetTierRun best;
-  // Best of three: the run is deterministic, so the repeats only reject
-  // scheduler noise, never change the fingerprint.
-  for (int pass = 0; pass < 3; ++pass) {
-    FleetTierRun r = run_sim_fleet_once(threads, fleet);
-    if (pass == 0 || r.ns_per_packet < best.ns_per_packet) best = r;
-  }
-  sim::Packet::trim_freelist();
-  return best;
-}
-
-/// The tentpole gate. Always asserts fleet-vs-serial verdict
-/// equivalence and that cross-filter coalescing actually happened (mean
-/// tasks/submission well above one filter's shard count); on a >= 4-core
-/// box additionally gates the >= 3x wall-clock win at 4 workers that
-/// tick batching exists to deliver. Rows land in the trajectory with the
-/// occupancy fields regardless of core count, so the tier set is stable
-/// across boxes for the missing-tier check.
-bool run_sim_fleet_sweep(std::vector<bench::BenchRecord>* records) {
-  struct Mode {
-    const char* name;
-    std::size_t threads;
-    bool fleet;
-  };
-  const Mode modes[] = {{"sim_fleet_threaded_t0", 0, false},
-                        {"sim_fleet_threaded_t2", 2, true},
-                        {"sim_fleet_threaded_t4", 4, true}};
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("\nsim fleet tick-batching sweep (%zu filters x %zu shards, "
-              "%zu-pkt spans, %zu flows/filter, hw threads: %u)\n",
-              kFleetFilters, kFleetShards, kFleetSpan, kFleetFlows, hw);
-  std::printf("%22s %10s %14s %10s %10s %12s\n", "mode", "ns/pkt",
-              "tasks/submit", "busy", "drains", "verdicts");
-
-  bool all_ok = true;
-  FleetTierRun serial;
-  double t4_ns = 0;
-  for (const Mode& m : modes) {
-    const FleetTierRun r = run_sim_fleet_tier(m.threads, m.fleet);
-    const bool is_serial = m.threads == 0;
-    if (is_serial) serial = r;
-    if (m.threads == 4) t4_ns = r.ns_per_packet;
-
-    const bool same = is_serial || r.identical_to(serial);
-    std::printf("%22s %10.2f %14.1f %10.3f %10llu %12s\n", m.name,
-                r.ns_per_packet,
-                m.fleet ? r.occupancy.tasks_per_submission() : 0.0,
-                m.fleet ? r.occupancy.busy_fraction(m.threads) : 0.0,
-                static_cast<unsigned long long>(r.drains),
-                is_serial ? "(baseline)" : (same ? "identical" : "DIVERGED"));
-    if (m.fleet) {
-      // Amdahl ledger: busy_ns/packet is the parallel (in-task) slice,
-      // the rest of the serial baseline is sim-thread residual. What a
-      // k-core box can reach is residual + busy/k — printed so a 1-core
-      // box can still predict (and a 4-core box explain) the speedup.
-      const double busy_per_pkt =
-          double(r.occupancy.busy_ns) / double(r.measured_packets);
-      std::printf("%22s   parallel slice %.2f ns/pkt, serial residual "
-                  "~%.2f ns/pkt\n",
-                  "", busy_per_pkt,
-                  serial.ns_per_packet > busy_per_pkt
-                      ? serial.ns_per_packet - busy_per_pkt
-                      : 0.0);
-    }
-    if (!same) {
-      std::fprintf(stderr, "FAIL: %s verdicts diverged from serial\n",
-                   m.name);
-      all_ok = false;
-    }
-    if (is_serial && (r.survivors == 0 || r.admissions == 0)) {
-      std::fprintf(stderr, "FAIL: fleet scenario produced no traffic\n");
-      all_ok = false;
-    }
-    if (m.fleet) {
-      if (r.drains == 0 || r.coalesced == 0 ||
-          r.occupancy.submissions == 0) {
-        std::fprintf(stderr,
-                     "FAIL: %s never coalesced a multi-filter tick\n",
-                     m.name);
-        all_ok = false;
-      }
-      // Cross-filter batching must dominate: one filter alone can only
-      // contribute kFleetShards tasks to a submission.
-      if (r.occupancy.tasks_per_submission() <= double(kFleetShards)) {
-        std::fprintf(stderr,
-                     "FAIL: %s tasks/submission %.1f <= shard count %zu "
-                     "(ticks are not batching across filters)\n",
-                     m.name, r.occupancy.tasks_per_submission(),
-                     kFleetShards);
-        all_ok = false;
-      }
-    }
-
-    bench::BenchRecord rec{"bench_flow_store_scale", m.name,
-                           double(kFleetFilters * kFleetFlows),
-                           r.ns_per_packet, bench::read_vm_rss_kb(),
-                           m.threads > 0 ? 1 : 0};
-    if (m.fleet) {
-      rec.tasks_per_submission = r.occupancy.tasks_per_submission();
-      rec.busy_fraction = r.occupancy.busy_fraction(m.threads);
-      rec.workers = static_cast<int>(m.threads);
-    }
-    records->push_back(std::move(rec));
-  }
-
-  if (hw >= 4) {
-    const double speedup = serial.ns_per_packet / t4_ns;
-    std::printf("fleet wall-clock speedup at 4 workers: %.2fx "
-                "(gate: >= 3.0x)\n",
-                speedup);
-    if (speedup < 3.0) {
-      std::fprintf(stderr,
-                   "FAIL: fleet tick batching delivered %.2fx at 4 "
-                   "workers, gate requires >= 3.0x\n",
-                   speedup);
-      all_ok = false;
-    }
-  } else {
-    std::printf("fleet speedup gate skipped (%u hw threads < 4); "
-                "equivalence + occupancy rows still recorded\n",
-                hw);
-  }
-  return all_ok;
-}
-
 // ---- scenario-catalog tier: probation-heavy generated workload -------------
 
 /// End-to-end price of the catalog's probation-heavy shape: spoof_churn
@@ -1070,12 +617,9 @@ bool run_sim_fleet_sweep(std::vector<bench::BenchRecord>* records) {
 /// with fresh suspects — SFT admission/eviction churn dominates, the
 /// path none of the steady-state tiers above exercises). The nominal
 /// catalog entry is internet-scale; this tier runs the same spec at a
-/// reduced-but-nontrivial size through the sharded sim datapath at
-/// shard_threads 0 and 2, best of three deterministic runs each. Rows
-/// are wall ns per offered packet, tagged per the threads convention so
-/// serial and threaded measurements gate separately; the two modes must
-/// stay bit-identical (the same contract the catalog battery pins at
-/// smoke scale in test_scenario_catalog.cpp).
+/// reduced-but-nontrivial size through the 4-shard sim datapath, best of
+/// three deterministic runs. The row is wall ns per offered packet,
+/// tagged serial per the threads convention.
 bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   const scenario::CatalogEntry* entry =
       scenario::find_scenario("spoof_churn");
@@ -1085,7 +629,7 @@ bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   }
   scenario::ScenarioSpec spec = entry->spec;
   // Bench scale: large enough that table churn (not setup) dominates the
-  // wall clock, small enough for best-of-3 x 2 modes in CI. The SFT is
+  // wall clock, small enough for best-of-3 in CI. The SFT is
   // shrunk below the army size and the churn outpaces the decision
   // timers, so every per-shard table runs near probation-full for the
   // whole attack window (the admission + decision-timer path is the
@@ -1097,69 +641,45 @@ bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   spec.sft_capacity = 48;
   spec.end_time = 8.0;
 
-  struct ModeRow {
-    const char* name;
-    std::size_t threads;
-  };
-  const ModeRow modes[] = {{"scenario_spoof_churn_t0", 0},
-                           {"scenario_spoof_churn_t2", 2}};
+  constexpr const char* kName = "scenario_spoof_churn_t0";
+  scenario::Strategy strat;
+  strat.label = kName;
+  strat.num_shards = 4;
 
   std::printf("\nscenario catalog tier: spoof_churn (probation-heavy), "
               "%zu legit + %zu zombies, SFT capacity %zu\n",
               spec.legit_flows, spec.zombies, spec.sft_capacity);
-  std::printf("%24s %10s %12s %12s %12s %10s\n", "mode", "ns/pkt",
-              "offered", "admissions", "evictions", "verdicts");
+  std::printf("%24s %10s %12s %12s %12s\n", "mode", "ns/pkt", "offered",
+              "admissions", "evictions");
 
-  bool all_ok = true;
-  std::uint64_t base_fp = 0;
-  for (const ModeRow& m : modes) {
-    scenario::Strategy strat;
-    strat.label = m.name;
-    strat.num_shards = 4;
-    strat.shard_threads = m.threads;
-
-    double best = 0;
-    scenario::ScenarioOutcome out;
-    // Best of three: the run is deterministic, repeats only reject
-    // scheduler noise.
-    for (int pass = 0; pass < 3; ++pass) {
-      const double start = now_ns();
-      scenario::ScenarioOutcome r = scenario::run_scenario(spec, strat);
-      const double elapsed = now_ns() - start;
-      if (pass == 0 || elapsed < best) best = elapsed;
-      out = std::move(r);
-    }
-    const auto& mr = out.result;
-    const double ns_per_packet =
-        best / double(mr.metrics.total_offered > 0 ? mr.metrics.total_offered
-                                                   : 1);
-    const bool is_serial = m.threads == 0;
-    if (is_serial) base_fp = out.fingerprint;
-    const bool same = is_serial || out.fingerprint == base_fp;
-    std::printf("%24s %10.2f %12llu %12llu %12llu %10s\n", m.name,
-                ns_per_packet,
-                static_cast<unsigned long long>(mr.metrics.total_offered),
-                static_cast<unsigned long long>(mr.sft_admissions),
-                static_cast<unsigned long long>(mr.sft_evictions),
-                is_serial ? "(baseline)"
-                          : (same ? "identical" : "DIVERGED"));
-    if (!same) {
-      std::fprintf(stderr, "FAIL: %s diverged from the serial run\n",
-                   m.name);
-      all_ok = false;
-    }
-    if (is_serial &&
-        (mr.sft_admissions == 0 || mr.metrics.total_offered == 0)) {
-      std::fprintf(stderr,
-                   "FAIL: scenario tier produced no traffic/admissions\n");
-      all_ok = false;
-    }
-    records->push_back({"bench_flow_store_scale", m.name,
-                        double(spec.legit_flows + spec.zombies),
-                        ns_per_packet, bench::read_vm_rss_kb(),
-                        m.threads > 0 ? 1 : 0});
+  double best = 0;
+  scenario::ScenarioOutcome out;
+  // Best of three: the run is deterministic, repeats only reject
+  // scheduler noise.
+  for (int pass = 0; pass < 3; ++pass) {
+    const double start = now_ns();
+    scenario::ScenarioOutcome r = scenario::run_scenario(spec, strat);
+    const double elapsed = now_ns() - start;
+    if (pass == 0 || elapsed < best) best = elapsed;
+    out = std::move(r);
   }
-  return all_ok;
+  const auto& mr = out.result;
+  const double ns_per_packet =
+      best / double(mr.metrics.total_offered > 0 ? mr.metrics.total_offered
+                                                 : 1);
+  std::printf("%24s %10.2f %12llu %12llu %12llu\n", kName, ns_per_packet,
+              static_cast<unsigned long long>(mr.metrics.total_offered),
+              static_cast<unsigned long long>(mr.sft_admissions),
+              static_cast<unsigned long long>(mr.sft_evictions));
+  records->push_back({"bench_flow_store_scale", kName,
+                      double(spec.legit_flows + spec.zombies), ns_per_packet,
+                      bench::read_vm_rss_kb(), 0});
+  if (mr.sft_admissions == 0 || mr.metrics.total_offered == 0) {
+    std::fprintf(stderr,
+                 "FAIL: scenario tier produced no traffic/admissions\n");
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -1167,13 +687,6 @@ bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
 int main(int argc, char** argv) {
   const bool smoke =
       argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  if (argc > 1 && std::strcmp(argv[1], "--fleet") == 0) {
-    // Dev iteration mode: only the fleet tick-batching sweep, no JSON
-    // append (the trajectory must come from full runs so tier sets stay
-    // complete for the missing-tier gate).
-    std::vector<bench::BenchRecord> scratch;
-    return run_sim_fleet_sweep(&scratch) ? 0 : 1;
-  }
 
   if (smoke) {
     // TSan CI mode: exercise the real multi-threaded driver on a small
@@ -1188,94 +701,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.allocs_steady));
       if (r.allocs_steady != 0) {
         std::fprintf(stderr, "FAIL: smoke inspect_batch allocated\n");
-        ok = false;
-      }
-    }
-    // Small speculative-threaded sim pass: the full stack (partition,
-    // worker-pool fan-out, journal merge, replay) under TSan, gated on
-    // serial equivalence.
-    {
-      scenario::ExperimentConfig cfg;
-      cfg.seed = 11;
-      cfg.total_flows = 16;
-      cfg.router_count = 8;
-      cfg.end_time = 3.5;
-      cfg.link_burst_size = 8;
-      cfg.num_shards = 4;
-      scenario::Experiment serial_exp(cfg);
-      const scenario::ExperimentResult serial = serial_exp.run();
-      cfg.shard_threads = 4;
-      scenario::Experiment threaded_exp(cfg);
-      const scenario::ExperimentResult threaded = threaded_exp.run();
-      const bool same =
-          serial.events_processed == threaded.events_processed &&
-          serial.sft_admissions == threaded.sft_admissions &&
-          serial.probes_issued == threaded.probes_issued &&
-          serial.sft_admissions > 0;
-      std::printf("[smoke] threaded sim (4 workers): %llu events, %s\n",
-                  static_cast<unsigned long long>(threaded.events_processed),
-                  same ? "identical to serial" : "DIVERGED");
-      if (!same) {
-        std::fprintf(stderr, "FAIL: smoke threaded sim diverged\n");
-        ok = false;
-      }
-      // Fleet tick batching under TSan: the shared per-tick submission
-      // window (many filters appending tasks, one pool fan-out, deferred
-      // journal replay) race-checked end-to-end, gated on equivalence.
-      cfg.fleet_tick_batch = true;
-      scenario::Experiment fleet_exp(cfg);
-      const scenario::ExperimentResult fleet = fleet_exp.run();
-      const bool fleet_same =
-          serial.events_processed == fleet.events_processed &&
-          serial.sft_admissions == fleet.sft_admissions &&
-          serial.probes_issued == fleet.probes_issued &&
-          fleet.fleet_drains > 0;
-      std::printf("[smoke] fleet tick batching (4 workers): %llu drains, "
-                  "%.1f tasks/submission, %s\n",
-                  static_cast<unsigned long long>(fleet.fleet_drains),
-                  fleet.pool_occupancy.tasks_per_submission(),
-                  fleet_same ? "identical to serial" : "DIVERGED");
-      if (!fleet_same) {
-        std::fprintf(stderr, "FAIL: smoke fleet tick batching diverged\n");
-        ok = false;
-      }
-      // Asynchronous control-plane detection under TSan: detector-mode
-      // runs submit each epoch's detection step to the same worker pool
-      // the classify bursts use (snapshot freeze -> pooled detect ->
-      // apply event), gated on bit-identity with the inline-detection
-      // serial run.
-      cfg.fleet_tick_batch = false;
-      cfg.trigger = scenario::TriggerMode::kDetector;
-      cfg.extra_victims = 1;
-      cfg.end_time = 5.0;
-      cfg.shard_threads = 0;
-      scenario::Experiment det_serial_exp(cfg);
-      const scenario::ExperimentResult det_serial = det_serial_exp.run();
-      cfg.shard_threads = 4;
-      scenario::Experiment det_pool_exp(cfg);
-      const scenario::ExperimentResult det_pool = det_pool_exp.run();
-      const auto* cp = det_pool_exp.control_plane();
-      bool det_same =
-          det_serial.events_processed == det_pool.events_processed &&
-          det_serial.per_victim.size() == det_pool.per_victim.size() &&
-          cp != nullptr && cp->epochs_observed() > 0 &&
-          cp->detection_steps_pooled() == cp->epochs_observed();
-      for (std::size_t v = 0;
-           det_same && v < det_serial.per_victim.size(); ++v) {
-        det_same = det_serial.per_victim[v].alarms ==
-                       det_pool.per_victim[v].alarms &&
-                   det_serial.per_victim[v].trigger_time ==
-                       det_pool.per_victim[v].trigger_time;
-      }
-      std::printf("[smoke] detector control plane (4 workers): %llu epochs, "
-                  "%llu pooled detection steps, %s\n",
-                  static_cast<unsigned long long>(
-                      cp != nullptr ? cp->epochs_observed() : 0),
-                  static_cast<unsigned long long>(
-                      cp != nullptr ? cp->detection_steps_pooled() : 0),
-                  det_same ? "identical to inline" : "DIVERGED");
-      if (!det_same) {
-        std::fprintf(stderr, "FAIL: smoke detector control plane diverged\n");
         ok = false;
       }
     }
@@ -1451,25 +876,10 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // ---- speculative threaded sim sweep ----------------------------------
-  if (!run_sim_threaded_sweep(&records)) {
-    std::fprintf(stderr,
-                 "FAIL: threaded sim verdicts diverged from serial\n");
-    ok = false;
-  }
-
-  // ---- fleet tick-batching sweep ---------------------------------------
-  if (!run_sim_fleet_sweep(&records)) {
-    std::fprintf(stderr,
-                 "FAIL: fleet tick-batching sweep (divergence or missed "
-                 "speedup gate)\n");
-    ok = false;
-  }
-
   // ---- scenario-catalog tier (probation-heavy generated workload) ------
   if (!run_scenario_catalog_tier(&records)) {
     std::fprintf(stderr,
-                 "FAIL: scenario catalog tier (divergence or empty run)\n");
+                 "FAIL: scenario catalog tier (empty run)\n");
     ok = false;
   }
 

@@ -46,13 +46,6 @@ struct BenchRecord {
   /// the newest run silently dropped. -1 = stamp on append; rows
   /// predating the field are exempt from the missing-tier check.
   int run = -1;
-  /// Fleet tick-batching occupancy (sim_fleet_threaded rows only;
-  /// omitted when <= 0): mean pool tasks per submission and the worker
-  /// busy fraction over submit->complete windows (can exceed 1.0 — the
-  /// sim thread helps drain). See BENCHMARKS.md for how to read them.
-  double tasks_per_submission = 0;
-  double busy_fraction = 0;
-  int workers = -1;  ///< pool worker count for the row; -1 = omitted
   /// Replay-harness throughput fields (bench_replay_path rows; omitted
   /// when <= 0). pps is redundant with ns_per_packet (1e9 / ns) but is
   /// the unit the line-rate claim speaks in; cycles_per_packet is the
@@ -171,8 +164,9 @@ inline void append_records(const char* path,
   const bool fresh = existing.empty();
 
   // Run stamp for this append: one past the largest id already present.
-  // The file is machine-written (append_records is the only writer), so
-  // a plain substring scan is safe.
+  // Measurement rows are machine-written (append_records is their only
+  // writer) and retirement rows carry no run id, so a plain substring
+  // scan is safe.
   int run_id = 0;
   for (std::size_t pos = existing.find("\"run\": ");
        pos != std::string::npos;
@@ -197,18 +191,6 @@ inline void append_records(const char* path,
       std::snprintf(calib, sizeof(calib), ", \"calib_ns\": %.3f",
                     r.calib_ns);
     }
-    char occupancy[96] = "";
-    if (r.tasks_per_submission > 0 || r.busy_fraction > 0) {
-      std::snprintf(occupancy, sizeof(occupancy),
-                    ", \"tasks_per_submission\": %.2f, "
-                    "\"busy_fraction\": %.3f",
-                    r.tasks_per_submission, r.busy_fraction);
-    }
-    char workers[24] = "";
-    if (r.workers >= 0) {
-      std::snprintf(workers, sizeof(workers), ", \"workers\": %d",
-                    r.workers);
-    }
     char throughput[96] = "";
     if (r.pps > 0 || r.cycles_per_packet > 0) {
       std::snprintf(throughput, sizeof(throughput),
@@ -221,11 +203,10 @@ inline void append_records(const char* path,
     }
     std::fprintf(f,
                  "  {\"bench\": \"%s\", \"name\": \"%s\", \"flows\": %.0f, "
-                 "\"ns_per_packet\": %.2f, \"rss_kb\": %.0f%s%s%s%s%s%s, "
+                 "\"ns_per_packet\": %.2f, \"rss_kb\": %.0f%s%s%s%s, "
                  "\"run\": %d}%s\n",
                  r.bench.c_str(), r.name.c_str(), r.flows, r.ns_per_packet,
-                 r.rss_kb, threads, calib, occupancy, workers, throughput,
-                 legit, r.run >= 0 ? r.run : run_id,
+                 r.rss_kb, threads, calib, throughput, legit, r.run >= 0 ? r.run : run_id,
                  i + 1 < records.size() ? "," : "");
   }
   std::fputs("]\n", f);

@@ -466,7 +466,7 @@ double run_sim_twin(const Fixture& fx, std::size_t shards,
   sim::PacketFactory factory;
   sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
   core::ShardedMaficFilter filter(&sim, &factory, atr, shards, fx.cfg,
-                                  nullptr, /*seed=*/42, nullptr);
+                                  nullptr, /*seed=*/42);
   CountingSink sink;
   filter.set_target(&sink);
   filter.activate({kVictim});

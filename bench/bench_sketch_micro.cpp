@@ -1,13 +1,12 @@
 // Ablation A2 + microbenchmarks for the set-union counting substrate:
-// accuracy/memory of LogLog vs HyperLogLog vs exact counting, then
-// google-benchmark timings of the per-packet operations.
+// accuracy/memory of LogLog vs exact counting, then google-benchmark
+// timings of the per-packet operations.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
 
-#include "sketch/hyperloglog.hpp"
 #include "sketch/loglog.hpp"
 #include "sketch/set_union.hpp"
 #include "util/table_printer.hpp"
@@ -18,27 +17,21 @@ using namespace mafic;
 
 void print_accuracy_table() {
   std::printf("== A2: cardinality estimation error by sketch (n=100k) ==\n");
-  util::TablePrinter table({"precision", "memory(B)", "LogLog err(%)",
-                            "HLL err(%)"});
+  util::TablePrinter table({"precision", "memory(B)", "LogLog err(%)"});
   constexpr std::uint64_t n = 100000;
   for (const unsigned p : {8u, 10u, 12u, 14u}) {
-    double ll_err = 0, hll_err = 0;
+    double ll_err = 0;
     const int runs = 5;
     for (int run = 0; run < runs; ++run) {
       sketch::LogLog ll(p, run);
-      sketch::HyperLogLog hll(p, run);
       for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t item = run * 10'000'000ULL + i;
-        ll.add(item);
-        hll.add(item);
+        ll.add(run * 10'000'000ULL + i);
       }
       ll_err += std::abs(ll.estimate() - double(n)) / double(n);
-      hll_err += std::abs(hll.estimate() - double(n)) / double(n);
     }
     table.add_row({std::to_string(p),
                    std::to_string(std::size_t{1} << p),
-                   util::TablePrinter::num(100.0 * ll_err / runs, 2),
-                   util::TablePrinter::num(100.0 * hll_err / runs, 2)});
+                   util::TablePrinter::num(100.0 * ll_err / runs, 2)});
   }
   table.print();
   std::printf("(exact counting of 100k uids costs ~%zu bytes in a hash "
@@ -55,16 +48,6 @@ void BM_LogLogAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LogLogAdd)->Arg(10)->Arg(14);
-
-void BM_HyperLogLogAdd(benchmark::State& state) {
-  sketch::HyperLogLog c(static_cast<unsigned>(state.range(0)));
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    c.add(++i);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_HyperLogLogAdd)->Arg(10)->Arg(14);
 
 void BM_LogLogEstimate(benchmark::State& state) {
   sketch::LogLog c(static_cast<unsigned>(state.range(0)));

@@ -20,15 +20,6 @@
 /// shard runtime is core::EngineRuntime (standalone_runtime.hpp). Both
 /// drive the *same* engine object, which is what lets the fixed-seed
 /// classification goldens pin the sharded datapath too.
-///
-/// Journaled (speculative-threaded) seams: when several engines run
-/// their sub-spans of one burst on worker threads, the seam
-/// implementations must not touch shared state mid-burst. The buffering
-/// variants in journal_seams.hpp record every seam side effect instead,
-/// tagged with the packet's original span index via the BatchSequencer
-/// hook below, and the driving thread replays the merged journals in
-/// span order afterwards — reproducing exactly the seam call sequence a
-/// serial in-order walk would have made.
 
 #include "sim/packet.hpp"
 #include "sim/types.hpp"
@@ -109,19 +100,6 @@ class ProbeSink {
  public:
   virtual ~ProbeSink() = default;
   virtual void send_probe(const sim::FlowLabel& flow) = 0;
-};
-
-/// Per-packet sequence hook for the journaled batch path
-/// (FilterEngine::inspect_batch_keyed): the engine announces a packet's
-/// original span index immediately before inspecting it, so buffering
-/// seam implementations can tag the side effects that packet produces.
-/// begin_packet is called with strictly increasing indices within one
-/// batch; implementations need no synchronization (one sequencer is
-/// driven by exactly one thread at a time).
-class BatchSequencer {
- public:
-  virtual ~BatchSequencer() = default;
-  virtual void begin_packet(std::uint32_t span_index) = 0;
 };
 
 }  // namespace mafic::core

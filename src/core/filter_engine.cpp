@@ -144,7 +144,7 @@ void FilterEngine::inspect_batch_impl(GetPacket&& get, std::size_t n,
     };
     VerdictPipeline::prehash_window(*this, packet_at, m, keys, hot);
     VerdictPipeline::window<false>(engine_at, packet_at, now_at, keys, hot,
-                                   nullptr, m, out + i, nullptr);
+                                   m, out + i);
     i += m;
   }
 }
@@ -163,39 +163,6 @@ void FilterEngine::inspect_batch(const sim::Packet* const* pkts,
   inspect_batch_impl(
       [pkts](std::size_t i) -> const sim::Packet& { return *pkts[i]; }, n,
       out);
-}
-
-// maficlint: hot
-void FilterEngine::inspect_batch_keyed(const sim::Packet* const* pkts,
-                                       const std::uint64_t* keys,
-                                       const std::uint32_t* span_idx,
-                                       std::size_t n, EngineVerdict* out,
-                                       BatchSequencer* seq) {
-  constexpr std::size_t kWindow = VerdictPipeline::kWindow;
-  const double now = clock_->now();
-  auto engine_at = [this](std::size_t) -> FilterEngine& { return *this; };
-  auto now_at = [now](std::size_t) { return now; };
-
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t m = std::min(kWindow, n - i);
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      tables_.prefetch(keys[i + j + 0]);
-      tables_.prefetch(keys[i + j + 1]);
-      tables_.prefetch(keys[i + j + 2]);
-      tables_.prefetch(keys[i + j + 3]);
-    }
-    for (; j < m; ++j) tables_.prefetch(keys[i + j]);
-    auto packet_at = [pkts, i](std::size_t k) -> const sim::Packet& {
-      return *pkts[i + k];
-    };
-    // kRegate: the active/victim/control gate is re-applied per packet in
-    // the verdict pass, exactly as the old inspect_hashed walk did.
-    VerdictPipeline::window<true>(engine_at, packet_at, now_at, keys + i,
-                                  nullptr, span_idx + i, m, out + i, seq);
-    i += m;
-  }
 }
 
 bool FilterEngine::pd_coin(const sim::Packet& p, std::uint64_t key) {

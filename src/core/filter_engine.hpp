@@ -138,19 +138,6 @@ class FilterEngine {
   void inspect_batch(const sim::Packet* const* pkts, std::size_t n,
                      EngineVerdict* out);
 
-  /// Journaled sub-span variant for the speculative threaded shard path:
-  /// classifies `n` packets whose label hashes were already computed by
-  /// the caller's partition pass (`keys[i] == hash_label(pkts[i]->label)`)
-  /// in order, announcing each packet's original span index from
-  /// `span_idx` to `seq` immediately before inspecting it, so buffering
-  /// seams (journal_seams.hpp) can tag the packet's side effects.
-  /// Verdict-identical to inspect_batch over the same packets; keeps the
-  /// same windowed prefetch. `seq` may be null (indices are then unused).
-  void inspect_batch_keyed(const sim::Packet* const* pkts,
-                           const std::uint64_t* keys,
-                           const std::uint32_t* span_idx, std::size_t n,
-                           EngineVerdict* out, BatchSequencer* seq);
-
   /// The batched-inspection hot gate: true when `p` is inspectable
   /// victim-bound traffic (engine active, protected destination, not
   /// control). Cold packets forward without hashing or prefetching.

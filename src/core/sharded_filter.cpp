@@ -82,18 +82,9 @@ EngineVerdict ShardedFilter::inspect(const sim::Packet& p) {
   return engines_[shard_of(key)]->inspect_hashed(p, key);
 }
 
+// maficlint: hot
 void ShardedFilter::partition_span(const sim::Packet* const* pkts,
                                    std::size_t n, SpanPartition& out) const {
-  out.hot.resize(n);
-  out.keys.resize(n);
-  out.shard.resize(n);
-  partition_span_range(pkts, 0, n, out);
-}
-
-// maficlint: hot
-void ShardedFilter::partition_span_range(const sim::Packet* const* pkts,
-                                         std::size_t begin, std::size_t end,
-                                         SpanPartition& out) const {
   // Every shard shares the activation state and victim set (the control
   // plane fans out), so the first engine's hot gate decides for all of
   // them — cold packets skip the hash and the shard-id slice.
@@ -108,18 +99,21 @@ void ShardedFilter::partition_span_range(const sim::Packet* const* pkts,
   };
   // 4-wide unroll: the mix64 chains of consecutive packets carry no
   // dependence on each other, so the multiplies schedule in parallel.
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
     one(i + 0);
     one(i + 1);
     one(i + 2);
     one(i + 3);
   }
-  for (; i < end; ++i) one(i);
+  for (; i < n; ++i) one(i);
 }
 
 void ShardedFilter::inspect_batch(const sim::Packet* const* pkts,
                                   std::size_t n, EngineVerdict* out) {
+  part_.hot.resize(n);
+  part_.keys.resize(n);
+  part_.shard.resize(n);
   partition_span(pkts, n, part_);
   // One clock sample per shard per batch (drivers advance time only
   // between batches); the pipeline's now_at indexes this by home shard.
@@ -157,8 +151,7 @@ void ShardedFilter::inspect_batch(const sim::Packet* const* pkts,
     auto now_off = [&now_at, i](std::size_t j) { return now_at(i + j); };
     VerdictPipeline::window<true>(engine_off, packet_off, now_off,
                                   part_.keys.data() + i,
-                                  part_.hot.data() + i, nullptr, m, out + i,
-                                  nullptr);
+                                  part_.hot.data() + i, m, out + i);
     i += m;
   }
 }

@@ -126,31 +126,6 @@ class ShardedFilter {
   /// bursts).
   EngineVerdict inspect(const sim::Packet& p);
 
-  /// The shared pre-hash pass over one burst span: gate (wants), label
-  /// hash and home-shard id per packet, computed exactly once. Both the
-  /// serial in-order batch walk (inspect_batch) and the speculative
-  /// threaded sub-span builder (ShardedMaficFilter) consume this one
-  /// routine, so the two paths cannot disagree on a packet's home shard.
-  /// Cold packets (hot[i] == 0) have undefined key/shard entries.
-  struct SpanPartition {
-    std::vector<std::uint8_t> hot;      ///< victim-bound and inspectable
-    std::vector<std::uint64_t> keys;    ///< hash_label per hot packet
-    std::vector<std::uint32_t> shard;   ///< home shard per hot packet
-  };
-  void partition_span(const sim::Packet* const* pkts, std::size_t n,
-                      SpanPartition& out) const;
-
-  /// Range slice of the same pass, for cooperative worker-side
-  /// partitioning: fills out.hot/keys/shard for [begin, end) only. The
-  /// caller sizes the three arrays to the full span first; concurrent
-  /// workers then partition disjoint chunks race-free (each index is
-  /// written by exactly the chunk that covers it). Identical per-packet
-  /// routine to partition_span, so chunked and whole-span partitions
-  /// cannot disagree.
-  void partition_span_range(const sim::Packet* const* pkts,
-                            std::size_t begin, std::size_t end,
-                            SpanPartition& out) const;
-
   /// Batch-inspects an indirect span (what a simulator burst delivers)
   /// in ARRIVAL order: runs partition_span, prefetches each hot key's
   /// home slot in its home shard's store a window ahead, then classifies
@@ -159,9 +134,6 @@ class ShardedFilter {
   /// preserving cross-shard arrival order — admissions schedule their
   /// probe/decision timers in span order, so a shared timer service
   /// fires them (and emits probes) exactly as a single engine would.
-  /// Single-threaded by design; the threaded path (speculative sub-span
-  /// fan-out with a deterministic journal merge) lives in the sim
-  /// adapter, ShardedMaficFilter.
   void inspect_batch(const sim::Packet* const* pkts, std::size_t n,
                      EngineVerdict* out);
 
@@ -183,6 +155,19 @@ class ShardedFilter {
   std::size_t resident() const;
 
  private:
+  /// The pre-hash pass over one burst span: gate (wants), label hash and
+  /// home-shard id per packet, computed exactly once. Cold packets
+  /// (hot[i] == 0) have undefined key/shard entries.
+  struct SpanPartition {
+    std::vector<std::uint8_t> hot;      ///< victim-bound and inspectable
+    std::vector<std::uint64_t> keys;    ///< hash_label per hot packet
+    std::vector<std::uint32_t> shard;   ///< home shard per hot packet
+  };
+  /// Fills out.hot/keys/shard for the n packets; the caller sizes the
+  /// three arrays first.
+  void partition_span(const sim::Packet* const* pkts, std::size_t n,
+                      SpanPartition& out) const;
+
   unsigned shard_bits_ = 0;
   unsigned shift_ = 64;
   /// Standalone mode: one self-contained runtime per shard (else empty).

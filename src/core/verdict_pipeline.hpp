@@ -3,17 +3,16 @@
 /// \file verdict_pipeline.hpp
 /// The batched classify micro-path: a staged, struct-of-arrays verdict
 /// pipeline shared by every batched inspection entry point —
-/// FilterEngine::inspect_batch (contiguous and indirect),
-/// FilterEngine::inspect_batch_keyed (the journaled worker sub-span path)
-/// and ShardedFilter::inspect_batch (the cross-shard arrival-order walk).
-/// One template, three adapters, so the paths cannot drift.
+/// FilterEngine::inspect_batch (contiguous and indirect) and
+/// ShardedFilter::inspect_batch (the cross-shard arrival-order walk).
+/// One template, two adapters, so the paths cannot drift.
 ///
 /// A window of kWindow packets runs through four passes over parallel
 /// stack arrays:
 ///
 ///   1. pre-hash  — gate (wants) + label hash, unrolled 4-wide, issuing a
-///                  FlatTable::prefetch per hot key (driver-side for the
-///                  pre-keyed callers);
+///                  FlatTable::prefetch per hot key (partition-side for
+///                  the sharded walk);
 ///   2. peek      — one read-only flat-store probe per hot key
 ///                  (FlowTables::peek), materializing {kind, sft_slot,
 ///                  nft_expiry} by value and issuing a second-stage
@@ -52,9 +51,8 @@
 ///    advance_until, the simulator between events), so per-packet
 ///    clock->now() calls inside one batch are constant by contract.
 ///
-/// Thread safety: same as FilterEngine — one engine, one thread. The
-/// speculative worker path calls inspect_batch_keyed on distinct engines
-/// from distinct workers; the scratch here is stack-local per call.
+/// Thread safety: same as FilterEngine — one engine, one thread; the
+/// scratch here is stack-local per call.
 
 #include <cstdint>
 
@@ -72,7 +70,7 @@ class VerdictPipeline {
   /// slots) that prefetched lines survive until their peek.
   static constexpr std::size_t kWindow = 32;
 
-  /// Pass 1 for the un-keyed callers: gate + hash + store prefetch over
+  /// Pass 1 for the single-engine batch: gate + hash + store prefetch over
   /// one window, 4-wide unrolled (independent mix64 chains schedule in
   /// parallel). Writes keys[j] / hot[j] for j in [0, m).
   // maficlint: hot
@@ -98,20 +96,18 @@ class VerdictPipeline {
   ///  * engine_at(j) — the packet's home engine (constant for the
   ///    single-engine callers; per-packet for the sharded walk).
   ///  * now_at(j)    — the engine's batch-sampled clock value.
-  ///  * hot          — pass-1/partition gate bits; nullptr = all hot.
+  ///  * hot          — pass-1/partition gate bits.
   ///  * kRegate      — re-apply wants() per packet in pass 4, matching
-  ///    the pre-pipeline behaviour of the keyed/sharded paths (their
-  ///    inspect_hashed walk re-gated every packet). The un-keyed batch
-  ///    gates in pass 1 only, as it always has.
-  ///  * seq          — journaled-path sequencer; begin_packet(span_idx[j])
-  ///    fires before any of packet j's side effects.
+  ///    the pre-pipeline behaviour of the sharded path (its
+  ///    inspect_hashed walk re-gated every packet). The single-engine
+  ///    batch gates in pass 1 only, as it always has.
   // maficlint: hot
   template <bool kRegate, typename EngineAt, typename PacketAt,
             typename NowAt>
   static void window(EngineAt&& engine_at, PacketAt&& packet_at,
                      NowAt&& now_at, const std::uint64_t* keys,
-                     const std::uint8_t* hot, const std::uint32_t* span_idx,
-                     std::size_t m, EngineVerdict* out, BatchSequencer* seq) {
+                     const std::uint8_t* hot, std::size_t m,
+                     EngineVerdict* out) {
     // --- SoA scratch (stack; one cache line each) -----------------------
     FlowTables::Peek pk[kWindow];
     std::uint64_t epo[kWindow];
@@ -121,7 +117,7 @@ class VerdictPipeline {
     // --- pass 2: peek + arena prefetch ---------------------------------
     for (std::size_t j = 0; j < m; ++j) {
       lane[j] = kLaneCold;
-      if (hot != nullptr && hot[j] == 0) continue;
+      if (hot[j] == 0) continue;
       FilterEngine& e = engine_at(j);
       epo[j] = e.tables_.epoch();
       pk[j] = e.tables_.peek(keys[j]);
@@ -164,7 +160,6 @@ class VerdictPipeline {
         out[j] = EngineVerdict::kForward;
         continue;
       }
-      if (seq != nullptr) seq->begin_packet(span_idx[j]);
       FilterEngine& e = engine_at(j);
       const sim::Packet& p = packet_at(j);
       if constexpr (kRegate) {

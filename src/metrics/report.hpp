@@ -9,7 +9,9 @@
 ///   theta_n false negative rate (Fig. 6)
 ///   Lr      legitimate-packet dropping rate (Fig. 7)
 ///
-/// Definitions (DESIGN.md section 4):
+/// Definitions (the paper's section IV metrics, computed over the
+/// ledger's post-trigger window; docs/BENCHMARKS.md maps each metric to
+/// the figure bench that reproduces it):
 ///   alpha   = malicious defense-drops / malicious offered (post-trigger)
 ///   beta    = 1 - victim offered-rate(post window) / offered-rate(pre)
 ///   theta_p = responsive-legit PDT drops / all offered (post-trigger)

@@ -47,27 +47,13 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
   if (counter_source_) counter_source_(cs.victims);
 
   // 2. Detection: pure function of the frozen snapshot (plus the
-  // pipeline's own state). With a pool attached it runs as a single
-  // task; submit + wait inside this epoch callback means the batch is
-  // never left in flight to collide with classify bursts, and the join
-  // is the happens-before edge back to the sim thread. Pooled and
-  // inline execution are bit-identical by construction.
-  std::vector<VictimDecision> decisions;
+  // pipeline's own state).
+  const std::vector<VictimDecision> decisions = pipeline_.step(cs);
   std::vector<std::vector<AtrScore>> atr_sets(statuses_.size());
-  const auto detect = [&] {
-    decisions = pipeline_.step(cs);
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      if (decisions[i].alarming) {
-        atr_sets[i] = identify_atrs(cs.matrix, decisions[i].router, cfg_.atr);
-      }
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    if (decisions[i].alarming) {
+      atr_sets[i] = identify_atrs(cs.matrix, decisions[i].router, cfg_.atr);
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->submit([&detect](std::size_t) { detect(); }, 1);
-    pool_->wait();
-    ++pooled_steps_;
-  } else {
-    detect();
   }
 
   // 3. Fold results into the statuses and collect pending transitions.

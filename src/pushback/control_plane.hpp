@@ -16,11 +16,7 @@
 ///      the abnormal-|Dj| rule per protected last-hop router, feature
 ///      extraction (velocity, fan-in, population shift), and ATR
 ///      identification for every alarming victim. The step is a pure
-///      function of the snapshot plus the pipeline's own state, so when a
-///      ShardWorkerPool is attached it runs as a pool task (submit + wait
-///      inside the epoch callback — the fan-out/join pair is the
-///      happens-before edge) and produces bit-identical results to the
-///      inline path.
+///      function of the snapshot plus the pipeline's own state.
 ///   3. APPLY — pending per-victim actions are applied at ONE scheduled
 ///      event a fixed control delay later, through the coordinator's
 ///      engage_victim / disengage_victim registry.
@@ -33,9 +29,8 @@
 /// event fires at epoch_end + control_delay (before the next epoch: the
 /// Experiment rejects control_delay >= epoch_seconds), and detection
 /// never reads live state — so detector-mode runs are bit-identical
-/// across the scalar / sharded / threaded / fleet strategies and across
-/// pooled vs inline detection (the scenario-catalog equivalence battery
-/// pins it).
+/// across the scalar and sharded strategies (the scenario-catalog
+/// equivalence battery pins it).
 ///
 /// This file is control-plane code: the maficlint `seams` rule checks
 /// it never names FlowTables or the verdict pipeline — engines are
@@ -46,7 +41,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/shard_worker_pool.hpp"
 #include "pushback/atr_identifier.hpp"
 #include "pushback/coordinator.hpp"
 #include "pushback/detector_features.hpp"
@@ -107,19 +101,11 @@ class ControlPlane {
     counter_source_ = std::move(src);
   }
 
-  /// Attaches a worker pool; detection steps then run as pool tasks.
-  /// Pass nullptr (or never call) for inline detection — results are
-  /// identical either way.
-  void set_pool(core::ShardWorkerPool* pool) { pool_ = pool; }
-
   const std::vector<VictimStatus>& statuses() const noexcept {
     return statuses_;
   }
 
   std::uint64_t epochs_observed() const noexcept { return epochs_; }
-  std::uint64_t detection_steps_pooled() const noexcept {
-    return pooled_steps_;
-  }
   std::uint64_t apply_events() const noexcept { return apply_events_; }
   const Config& config() const noexcept { return cfg_; }
 
@@ -139,11 +125,9 @@ class ControlPlane {
   PushbackCoordinator* coordinator_;
   Config cfg_;
   DetectorFeaturePipeline pipeline_;
-  core::ShardWorkerPool* pool_ = nullptr;
   CounterSource counter_source_;
   std::vector<VictimStatus> statuses_;
   std::uint64_t epochs_ = 0;
-  std::uint64_t pooled_steps_ = 0;
   std::uint64_t apply_events_ = 0;
   sim::EventId keepalive_event_ = sim::kInvalidEvent;
 };

@@ -19,9 +19,7 @@
 /// features ship in the vector for reporting; they never raise an alarm.
 ///
 /// Everything here is a pure function of the snapshot plus the
-/// pipeline's own state: no live datapath access, so a step may run on a
-/// ShardWorkerPool worker (the submitting sim thread joins before reading
-/// the results).
+/// pipeline's own state: no live datapath access.
 
 #include <cstdint>
 #include <vector>
@@ -79,7 +77,7 @@ class DetectorFeaturePipeline {
   /// Consumes one epoch snapshot: steps the |Dj| rule once per protected
   /// last-hop router, then extracts features and the decision for each
   /// victim, in snapshot victim order. Deterministic: same snapshot
-  /// sequence, same decisions, regardless of which thread calls it.
+  /// sequence, same decisions.
   std::vector<VictimDecision> step(const sketch::ControlSnapshot& snap);
 
   std::uint64_t epochs_processed() const noexcept { return epochs_; }

@@ -304,24 +304,14 @@ void Experiment::build_flows() {
 void Experiment::build_defense() {
   if (cfg_.defense == DefenseKind::kNone) return;
 
-  if (cfg_.num_shards > 0 && cfg_.shard_threads > 0) {
-    shard_pool_ =
-        std::make_unique<core::ShardWorkerPool>(cfg_.shard_threads);
-    if (cfg_.fleet_tick_batch) {
-      fleet_ =
-          std::make_unique<core::FleetBurstScheduler>(shard_pool_.get());
-      sim_.set_tick_drain(fleet_.get());
-    }
-  }
-
   coordinator_ = std::make_unique<pushback::PushbackCoordinator>(&sim_);
   if (cfg_.trigger == TriggerMode::kDetector) {
     coordinator_->set_trigger_callback([this](double t) {
       if (!ledger_.triggered()) ledger_.set_trigger_time(t);
     });
     // Asynchronous control plane: detection runs against frozen epoch
-    // snapshots (as pool work when the threaded datapath is on) and is
-    // applied per victim through the coordinator's actuator registry.
+    // snapshots and is applied per victim through the coordinator's
+    // actuator registry.
     // Every configured destination is protected, primary first.
     control_plane_ = std::make_unique<pushback::ControlPlane>(
         &sim_, coordinator_.get(), cfg_.pushback);
@@ -338,9 +328,6 @@ void Experiment::build_defense() {
             s.evictions = b.evictions;
           }
         });
-    if (shard_pool_ != nullptr) {
-      control_plane_->set_pool(shard_pool_.get());
-    }
     control_plane_->watch(*monitor_);
   }
 
@@ -368,20 +355,13 @@ void Experiment::build_defense() {
           // the uplink, where burst mode delivers coalesced spans.
           auto filter = std::make_unique<core::ShardedMaficFilter>(
               &sim_, &factory_, atr, cfg_.num_shards, cfg_.mafic,
-              policy_.get(), /*seed=*/rng_.next(), shard_pool_.get());
+              policy_.get(), /*seed=*/rng_.next());
           filter->set_offered_callback([this](const sim::Packet& p) {
             ledger_.on_defense_offered(p, sim_.now());
           });
           core::ShardedMaficFilter* raw = filter.get();
           if (!quota_weights.empty()) raw->set_victim_weights(quota_weights);
           access.uplink->add_tail_tap(std::move(filter));
-          if (fleet_ != nullptr) {
-            // Defer this filter's spans into the shared tick drain and
-            // tag the uplink's deliveries batchable so the simulator can
-            // coalesce same-instant spans across the fleet.
-            raw->set_fleet(fleet_.get());
-            access.uplink->transmitter().set_batchable_delivery(true);
-          }
           sharded_filters_.push_back(raw);
           coordinator_->register_actuator(access.router, raw);
           break;
@@ -517,15 +497,6 @@ ExperimentResult Experiment::snapshot_result() const {
     const auto es = f->stats();
     r.screened_sources += es.screened_sources;
     r.probes_issued += es.probes_issued;
-  }
-  if (shard_pool_ != nullptr) {
-    r.pool_occupancy = shard_pool_->occupancy();
-    r.pool_workers = shard_pool_->worker_count();
-  }
-  if (fleet_ != nullptr) {
-    r.fleet_drains = fleet_->drains();
-    r.fleet_coalesced_drains = fleet_->coalesced_drains();
-    r.fleet_spans = fleet_->spans_drained();
   }
 
   // Per-victim decision breakdown (engine-side accounting keyed by the

@@ -20,9 +20,9 @@
 ///  * kDetector: the full pipeline — LogLog sketches, per-epoch traffic
 ///    matrix, |Dj| anomaly detection, a_ij ATR identification — drives the
 ///    activation, asynchronously: a pushback::ControlPlane freezes an
-///    epoch snapshot, runs the detection step per protected destination
-///    (as a worker-pool task when the threaded datapath is on), applies
-///    per-victim engage/disengage decisions one control delay later, and
+///    epoch snapshot, runs the detection step per protected destination,
+///    applies per-victim engage/disengage decisions one control delay
+///    later, and
 ///    refreshes every engaged ATR each refresh_interval. Every victim in
 ///    victim_addrs() is protected.
 
@@ -35,7 +35,6 @@
 #include "baseline/aggregate_limiter.hpp"
 #include "baseline/proportional_dropper.hpp"
 #include "core/address_policy.hpp"
-#include "core/fleet_burst_scheduler.hpp"
 #include "core/mafic_filter.hpp"
 #include "core/sharded_mafic_filter.hpp"
 #include "metrics/ledger.hpp"
@@ -172,28 +171,6 @@ struct ExperimentConfig {
   /// classification decisions — num_shards = 1 is the scalar comparator.
   std::size_t num_shards = 0;
 
-  /// Speculative threaded sim shards (requires num_shards >= 1). 0
-  /// (default) classifies burst spans in arrival order on the sim
-  /// thread — the serial, golden-pinned path. >= 1 spins up a shared
-  /// core::ShardWorkerPool with this many persistent workers; every
-  /// sharded filter partitions its burst spans into per-shard sub-spans,
-  /// fans them out, and merges the per-shard seam journals
-  /// deterministically, so results are bit-identical to shard_threads=0
-  /// at any worker count (test_core_threaded_sim pins this; the
-  /// bench_flow_store_scale sim_threaded_sweep tier gates it).
-  std::size_t shard_threads = 0;
-
-  /// Fleet-wide tick batching (requires num_shards >= 1 and
-  /// shard_threads >= 1; meaningful with link_burst_size > 1). Every
-  /// sharded filter defers its burst spans into a shared
-  /// core::FleetBurstScheduler installed as the simulator's tick drain:
-  /// all same-instant deliveries across the whole ingress fleet run as
-  /// ONE worker-pool submission (one fan-out/join per tick instead of
-  /// one per filter), then replay their journals in arrival order —
-  /// still bit-identical to shard_threads=0 (test_core_fleet_sim pins
-  /// this; the bench sim_fleet_threaded tier gates the speedup).
-  bool fleet_tick_batch = false;
-
   /// Departure coalescing on ingress access uplinks
   /// (DomainConfig::access_uplink_burst_packets): back-to-back departures
   /// reach the ATR as one span of up to this many packets, which is what
@@ -256,17 +233,6 @@ struct ExperimentResult {
   std::size_t legit_flows = 0;
   std::size_t attack_flows = 0;
   std::uint64_t events_processed = 0;
-
-  // Fleet tick-batching / worker-pool diagnostics (all zero unless
-  // shard_threads > 0; the fleet_* fields additionally need
-  // fleet_tick_batch). Occupancy is the raw pool counter block —
-  // tasks_per_submission() and busy_fraction(pool_workers) are the two
-  // numbers the bench tier reports.
-  std::uint64_t fleet_drains = 0;
-  std::uint64_t fleet_coalesced_drains = 0;
-  std::uint64_t fleet_spans = 0;
-  core::ShardWorkerPool::Occupancy pool_occupancy{};
-  std::size_t pool_workers = 0;
 
   // Aggregated defense internals (across all filters).
   std::uint64_t sft_admissions = 0;
@@ -358,14 +324,6 @@ class Experiment {
   sim::PacketFactory factory_;
   util::Rng rng_;
 
-  /// Shared worker pool for the speculative threaded shard path; created
-  /// iff num_shards > 0 && shard_threads > 0. Declared before net_ so it
-  /// outlives the link-owned filters that borrow it.
-  std::unique_ptr<core::ShardWorkerPool> shard_pool_;
-  /// Fleet tick-batching scheduler (cfg.fleet_tick_batch); installed as
-  /// sim_'s tick drain. Declared before net_ for the same lifetime
-  /// reason as shard_pool_.
-  std::unique_ptr<core::FleetBurstScheduler> fleet_;
   std::unique_ptr<sim::Network> net_;
   std::unique_ptr<topology::Domain> domain_;
   std::unique_ptr<core::AddressPolicy> policy_;

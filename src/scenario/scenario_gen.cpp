@@ -28,14 +28,12 @@ const char* to_string(AttackShape s) noexcept {
 
 std::vector<Strategy> equivalence_strategies() {
   return {
-      {"scalar", 1, 0, false, 8},
-      {"sharded", 4, 0, false, 8},
-      {"threaded", 4, 2, false, 8},
-      {"fleet", 4, 2, true, 8},
+      {"scalar", 1, 8},
+      {"sharded", 4, 8},
   };
 }
 
-Strategy head_strategy() { return {"head", 0, 0, false, 1}; }
+Strategy head_strategy() { return {"head", 0, 1}; }
 
 ExperimentConfig compile(const ScenarioSpec& spec) {
   const std::size_t zombies =
@@ -82,8 +80,6 @@ ExperimentConfig compile(const ScenarioSpec& spec) {
 
 void apply_strategy(const Strategy& strat, ExperimentConfig& cfg) {
   cfg.num_shards = strat.num_shards;
-  cfg.shard_threads = strat.shard_threads;
-  cfg.fleet_tick_batch = strat.fleet_tick_batch;
   cfg.link_burst_size = strat.link_burst;
 }
 

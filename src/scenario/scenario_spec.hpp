@@ -19,7 +19,7 @@
 /// exactly once per sweep).
 ///
 /// run_scenario() executes one spec under one datapath Strategy (scalar
-/// head filter, sharded, threaded shards, fleet tick batching) and
+/// head filter, one-shard tail filter, four-shard tail filter) and
 /// fingerprints the integer decision statistics, which is what the
 /// cross-strategy differential battery (test_scenario_catalog.cpp)
 /// compares bit-for-bit. The named catalog lives in scenario_catalog.hpp.
@@ -121,15 +121,13 @@ using Timeline = std::vector<TimelineEvent>;
 struct Strategy {
   const char* label = "scalar";
   std::size_t num_shards = 1;
-  std::size_t shard_threads = 0;
-  bool fleet_tick_batch = false;
   std::size_t link_burst = 8;
 };
 
-/// The four bit-comparable strategies of the differential battery:
-/// scalar(1 shard), sharded(4), threaded(4x2), fleet(4x2+tick batching).
-/// All share the same link burst size, so the packet arrival order —
-/// and therefore every per-flow decision — must match exactly.
+/// The two bit-comparable strategies of the differential battery:
+/// scalar (1 shard) and sharded (4 shards). Both share the same link
+/// burst size, so the packet arrival order — and therefore every
+/// per-flow decision — must match exactly.
 std::vector<Strategy> equivalence_strategies();
 
 /// The legacy head-filter strategy (per-packet, pre-queue drops).

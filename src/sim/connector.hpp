@@ -112,16 +112,21 @@ class InlineFilter : public Connector {
   }
 
   /// Inspects the whole span (batch-capable filters overlap their table
-  /// lookups here), compacts the survivors in place, and forwards them as
-  /// one burst. Verdict-equivalent to receiving each packet via recv().
-  /// Virtual (not final) so a fleet-batching filter can defer the whole
-  /// span into the simulator's tick drain instead — such an override must
-  /// eventually run finish_burst() with the same decisions this default
-  /// would have produced.
-  void recv_burst(PacketPtr* pkts, std::size_t n) override {
+  /// lookups here), drops through the drop handler, compacts the
+  /// survivors in place, and forwards them as one burst.
+  /// Verdict-equivalent to receiving each packet via recv().
+  void recv_burst(PacketPtr* pkts, std::size_t n) final {
     decisions_.resize(n);
     inspect_burst(pkts, n, decisions_.data());
-    finish_burst(pkts, n, decisions_.data());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (decisions_[i].verdict == Verdict::kForward) {
+        pkts[kept++] = std::move(pkts[i]);
+      } else if (drop_handler_) {
+        drop_handler_(*pkts[i], decisions_[i].reason, location_);
+      }
+    }
+    if (kept > 0) pass_burst(pkts, kept);
   }
 
   void set_drop_handler(DropHandler h) { drop_handler_ = std::move(h); }
@@ -130,23 +135,6 @@ class InlineFilter : public Connector {
 
  protected:
   virtual Decision inspect(Packet& p) = 0;
-
-  /// Applies per-packet decisions to a span: drops through the drop
-  /// handler, compacts survivors in place, forwards them as one burst.
-  /// The tail half of the default recv_burst, exposed so deferring
-  /// overrides can complete a held span later (at the same sim time).
-  void finish_burst(PacketPtr* pkts, std::size_t n,
-                    const Decision* decisions) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (decisions[i].verdict == Verdict::kForward) {
-        pkts[kept++] = std::move(pkts[i]);
-      } else if (drop_handler_) {
-        drop_handler_(*pkts[i], decisions[i].reason, location_);
-      }
-    }
-    if (kept > 0) pass_burst(pkts, kept);
-  }
 
   /// One decision per packet of the span, in order. The default inspects
   /// packet-by-packet; batch-capable filters (MaficFilter,

@@ -18,9 +18,9 @@ struct ItemGreater {
 };
 }  // namespace
 
-EventId EventQueue::push(SimTime t, EventFn fn, bool batchable) {
+EventId EventQueue::push(SimTime t, EventFn fn) {
   const EventId id = next_id_++;
-  heap_.push_back(Item{t, id, std::move(fn), batchable});
+  heap_.push_back(Item{t, id, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), ItemGreater{});
   live_.insert(id);
   return id;
@@ -57,12 +57,6 @@ SimTime EventQueue::next_time() {
   drop_dead_head();
   assert(!heap_.empty());
   return heap_.front().time;
-}
-
-bool EventQueue::next_is_batchable() {
-  drop_dead_head();
-  assert(!heap_.empty());
-  return heap_.front().batchable;
 }
 
 EventQueue::Popped EventQueue::pop() {

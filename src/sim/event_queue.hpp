@@ -23,11 +23,7 @@ class EventQueue {
  public:
   /// Schedules `fn` at absolute time `t`; returns a handle usable with
   /// cancel(). Handles are unique for the lifetime of the queue.
-  /// `batchable` marks the event as a tick-batchable burst delivery: the
-  /// simulator's TickDrain may let it run ahead of a pending fleet drain
-  /// (simulator.hpp), because by contract a batchable event defers every
-  /// externally visible side effect into that drain.
-  EventId push(SimTime t, EventFn fn, bool batchable = false);
+  EventId push(SimTime t, EventFn fn);
 
   /// Lazily cancels a pending event. Returns false (and is harmless) if the
   /// id already executed, was already cancelled, or never existed.
@@ -38,10 +34,6 @@ class EventQueue {
 
   /// Time of the earliest live event; empty() must be false.
   SimTime next_time();
-
-  /// Whether the earliest live event was pushed as batchable; empty()
-  /// must be false.
-  bool next_is_batchable();
 
   /// Pops the earliest live event. empty() must be false.
   struct Popped {
@@ -64,7 +56,6 @@ class EventQueue {
     SimTime time;
     EventId id;
     EventFn fn;
-    bool batchable = false;
 
     bool operator>(const Item& other) const noexcept {
       if (time != other.time) return time > other.time;

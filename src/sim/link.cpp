@@ -73,19 +73,12 @@ void LinkTransmitter::transmit_train() {
     ++bursts_;
     // Hand the span off to the propagation event before pulling the next
     // train (the pull refills train_); the buffer returns to the spare
-    // pool after delivery. Batchable deliveries let the fleet tick drain
-    // coalesce consecutive same-instant spans (the tail filter defers).
-    auto deliver = [this, span = std::move(train_)]() mutable {
+    // pool after delivery.
+    sim_->schedule(delay_s_, [this, span = std::move(train_)]() mutable {
       pass_burst(span.data(), span.size());
       span.clear();
       spare_trains_.push_back(std::move(span));
-    };
-    if (batchable_) {
-      sim_->schedule_batchable_at(sim_->now() + delay_s_,
-                                  std::move(deliver));
-    } else {
-      sim_->schedule(delay_s_, std::move(deliver));
-    }
+    });
     train_.clear();
     try_pull();
   });

@@ -47,14 +47,6 @@ class LinkTransmitter final : public Connector {
   double delay_s() const noexcept { return delay_s_; }
   std::size_t burst_packets() const noexcept { return burst_; }
 
-  /// Marks this transmitter's burst deliveries as tick-batchable: the
-  /// delivery event is scheduled with Simulator::schedule_batchable_at so
-  /// a fleet scheduler can coalesce consecutive same-instant deliveries
-  /// into one drain. Only valid when the receiving chain defers all its
-  /// side effects into the simulator's TickDrain (a fleet-mode
-  /// ShardedMaficFilter at the tail); burst mode only.
-  void set_batchable_delivery(bool b) noexcept { batchable_ = b; }
-  bool batchable_delivery() const noexcept { return batchable_; }
   std::uint64_t packets_delivered() const noexcept { return delivered_; }
   std::uint64_t bytes_delivered() const noexcept { return bytes_; }
   std::uint64_t bursts_delivered() const noexcept { return bursts_; }
@@ -71,7 +63,6 @@ class LinkTransmitter final : public Connector {
   std::size_t burst_;
   PacketQueue* queue_ = nullptr;
   bool busy_ = false;
-  bool batchable_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t bursts_ = 0;

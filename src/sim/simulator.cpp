@@ -27,36 +27,13 @@ void Simulator::step() {
   }
 }
 
-void Simulator::maybe_drain() {
-  if (drain_ == nullptr || !drain_->pending()) return;
-  // Deferred work was registered at now_. It may keep accumulating only
-  // while the very next thing to run is another batchable queue event at
-  // this same instant; any other event (foreign queue event, wheel timer,
-  // clock advance) must observe the deferred effects first, exactly as
-  // the serial schedule would have applied them.
-  const bool coalesce =
-      !queue_.empty() && queue_.next_time() <= now_ &&
-      (wheel_.empty() || queue_.next_time() <= wheel_.next_time()) &&
-      queue_.next_is_batchable();
-  if (!coalesce) drain_->drain();
-}
-
-void Simulator::flush_drain() {
-  // Loop: a drain that forwards packets may (in zero-delay topologies)
-  // re-register deferred work at the same instant.
-  while (drain_ != nullptr && drain_->pending()) drain_->drain();
-}
-
 std::size_t Simulator::run() {
   stopped_ = false;
   std::size_t n = 0;
-  while (!stopped_) {
-    maybe_drain();  // may schedule new events; recheck pending after
-    if (!pending()) break;
+  while (!stopped_ && pending()) {
     step();
     ++n;
   }
-  flush_drain();  // deferred work survives stop(); the clock has not moved
   processed_ += n;
   return n;
 }
@@ -64,13 +41,10 @@ std::size_t Simulator::run() {
 std::size_t Simulator::run_until(SimTime t) {
   stopped_ = false;
   std::size_t n = 0;
-  while (!stopped_) {
-    maybe_drain();
-    if (!pending() || next_event_time() > t) break;
+  while (!stopped_ && pending() && next_event_time() <= t) {
     step();
     ++n;
   }
-  flush_drain();
   if (!stopped_ && now_ < t) now_ = t;
   processed_ += n;
   return n;

@@ -13,16 +13,6 @@
 ///    quantized to the wheel resolution.
 /// The run loop interleaves both in time order; at equal times, queue
 /// events fire before wheel timers (deterministic regardless of internals).
-///
-/// Tick batching: a TickDrain hook lets a fleet-wide burst scheduler
-/// (core::FleetBurstScheduler) accumulate same-instant burst deliveries
-/// across events and flush them as one batch. Delivery events that defer
-/// their side effects into the drain are scheduled with
-/// schedule_batchable_at; the run loop flushes the drain before executing
-/// ANY other event (or wheel timer, or advancing the clock), so deferred
-/// effects land exactly where the undeferred events would have put them —
-/// batching coalesces only runs of consecutive same-time batchable
-/// events and can never reorder work relative to the serial schedule.
 
 #include <cstdint>
 #include <utility>
@@ -32,17 +22,6 @@
 #include "sim/types.hpp"
 
 namespace mafic::sim {
-
-/// Deferred-work hook for fleet-wide tick batching (see file comment).
-/// pending() must be cheap; drain() runs every deferred effect at the
-/// current simulation time and leaves pending() false. drain() may
-/// schedule new events (at now or later) but must not re-defer work.
-class TickDrain {
- public:
-  virtual ~TickDrain() = default;
-  virtual bool pending() const noexcept = 0;
-  virtual void drain() = 0;
-};
 
 class Simulator {
  public:
@@ -65,21 +44,6 @@ class Simulator {
 
   /// Cancels a pending event; safe to call with stale ids.
   bool cancel(EventId id) { return queue_.cancel(id); }
-
-  /// Schedules a batchable burst-delivery event at absolute time `t`:
-  /// the installed TickDrain stays un-flushed across consecutive
-  /// same-time batchable events, letting their deferred work coalesce
-  /// into one drain. Only for events that defer every externally visible
-  /// side effect into the drain (LinkTransmitter burst deliveries whose
-  /// filter participates in fleet batching).
-  EventId schedule_batchable_at(SimTime t, EventFn fn) {
-    return queue_.push(t < now_ ? now_ : t, std::move(fn),
-                       /*batchable=*/true);
-  }
-
-  /// Installs (or clears, with nullptr) the tick-batching drain hook.
-  void set_tick_drain(TickDrain* drain) noexcept { drain_ = drain; }
-  TickDrain* tick_drain() const noexcept { return drain_; }
 
   /// Schedules `fn` on the timer wheel after `delay` seconds. Fires at the
   /// first tick boundary at or after the nominal time. Prefer this over
@@ -129,18 +93,12 @@ class Simulator {
   SimTime next_event_time();
   /// Pops and runs the next event; advances the clock.
   void step();
-  /// Flushes the tick drain unless the next event is a same-time
-  /// batchable queue event (which may keep accumulating deferred work).
-  void maybe_drain();
-  /// Unconditionally flushes any deferred tick work (loop boundaries).
-  void flush_drain();
 
   EventQueue queue_;
   TimerWheel wheel_;
   SimTime now_ = 0.0;
   bool stopped_ = false;
   std::uint64_t processed_ = 0;
-  TickDrain* drain_ = nullptr;
 };
 
 }  // namespace mafic::sim

@@ -7,12 +7,10 @@
 /// never touches live datapath state: at every TrafficMonitor epoch the
 /// sim thread assembles a ControlSnapshot — a frozen copy of the epoch's
 /// traffic matrix plus plain-integer samples of the per-victim decision
-/// counters — and hands THAT to the detection step, which may run on a
-/// ShardWorkerPool worker. Because the snapshot is a by-value copy taken
-/// at an epoch-aligned sim event, detection is a pure function of it:
-/// results are bit-identical whether the step runs inline or pooled, and
-/// workers share nothing with the engines they observe (same race-free
-/// shape as the PR 5 seam journals, applied to the control plane).
+/// counters — and hands THAT to the detection step. Because the snapshot
+/// is a by-value copy taken at an epoch-aligned sim event, detection is a
+/// pure function of it and shares nothing with the engines it observes,
+/// so detector-mode results cannot depend on the datapath strategy.
 ///
 /// This header is vocabulary only: plain structs of integers/doubles and
 /// the already-frozen TrafficMatrixSnapshot. It must not name live

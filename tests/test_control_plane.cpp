@@ -1,15 +1,14 @@
 // Asynchronous control-plane detector layer: feature pipeline units,
 // multi-victim coordinator actuation (engage / disengage / retarget),
 // ControlPlane end-to-end sequences against fake actuators (control
-// delay, keep-alive, trigger callback), pooled-vs-inline bit-identity,
-// and the multi-victim experiment regression (every protected
-// destination must trigger detector-mode defense).
+// delay, keep-alive, trigger callback), and the multi-victim experiment
+// regression (every protected destination must trigger detector-mode
+// defense).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/shard_worker_pool.hpp"
 #include "pushback/control_plane.hpp"
 #include "pushback/coordinator.hpp"
 #include "pushback/detector_features.hpp"
@@ -198,8 +197,7 @@ TEST(CoordinatorMultiVictim, RegistryAloneSchedulesNoKeepAlive) {
 // ----------------------------------------------------- control plane e2e ---
 
 struct PlaneHarness {
-  explicit PlaneHarness(core::ShardWorkerPool* pool = nullptr,
-                        bool latch = false) {
+  explicit PlaneHarness(bool latch = false) {
     ControlPlane::Config cfg;
     cfg.control_delay = 0.01;
     cfg.refresh_interval = 0.1;
@@ -217,7 +215,6 @@ struct PlaneHarness {
     // Victim A (addr 100) behind router 2, victim B (addr 101) behind 3.
     plane->protect(2, 100);
     plane->protect(3, 101);
-    if (pool != nullptr) plane->set_pool(pool);
   }
 
   /// Schedules one epoch snapshot carrying `flows`.
@@ -325,7 +322,7 @@ TEST(ControlPlane, SurgeAtUnprotectedRouterEngagesNothing) {
 }
 
 TEST(ControlPlane, TriggerCallbackFiresOnce) {
-  PlaneHarness h(nullptr, /*latch=*/false);
+  PlaneHarness h(/*latch=*/false);
   int triggers = 0;
   h.coord->set_trigger_callback([&](double) { ++triggers; });
   h.epoch_at(0.1, 200, 200);
@@ -340,7 +337,7 @@ TEST(ControlPlane, TriggerCallbackFiresOnce) {
 }
 
 TEST(ControlPlane, KeepAliveRefreshesEachEngagedAtrOncePerTick) {
-  PlaneHarness h(nullptr, /*latch=*/true);
+  PlaneHarness h(/*latch=*/true);
   // A is flooded through router 0; B through routers 0 AND 1, so router
   // 0 is shared by both responses.
   h.epoch_with(0.1, {{0, 2, 200}, {0, 3, 200}, {1, 3, 200}});
@@ -358,7 +355,7 @@ TEST(ControlPlane, KeepAliveRefreshesEachEngagedAtrOncePerTick) {
 }
 
 TEST(ControlPlane, KeepAliveSkipsDisengagedAtrs) {
-  PlaneHarness h(nullptr, /*latch=*/false);
+  PlaneHarness h(/*latch=*/false);
   h.epoch_at(0.1, 200, 200);
   h.epoch_at(0.2, 5000, 200);  // A engages at 0.21; ticks from 0.31
   h.epoch_at(0.35, 210, 200);  // A clears: disengaged at 0.36
@@ -371,7 +368,7 @@ TEST(ControlPlane, KeepAliveSkipsDisengagedAtrs) {
 }
 
 TEST(ControlPlane, UnlatchedClearDisengagesAndReengages) {
-  PlaneHarness h(nullptr, /*latch=*/false);
+  PlaneHarness h(/*latch=*/false);
   h.epoch_at(0.1, 200, 200);
   h.epoch_at(0.2, 2000, 200);  // A floods -> engage
   h.epoch_at(0.3, 210, 200);   // subsides -> clear -> disengage
@@ -395,7 +392,7 @@ TEST(ControlPlane, UnlatchedClearDisengagesAndReengages) {
 }
 
 TEST(ControlPlane, LatchedResponseSurvivesClear) {
-  PlaneHarness h(nullptr, /*latch=*/true);
+  PlaneHarness h(/*latch=*/true);
   h.epoch_at(0.1, 200, 200);
   h.epoch_at(0.2, 2000, 200);
   h.epoch_at(0.3, 210, 200);  // alarm clears, response must not
@@ -405,41 +402,6 @@ TEST(ControlPlane, LatchedResponseSurvivesClear) {
   EXPECT_TRUE(h.response(100).engaged);
   EXPECT_LT(h.response(100).clear_time, 0.0);
   EXPECT_TRUE(h.a0.active());
-}
-
-TEST(ControlPlane, PooledDetectionIsBitIdenticalToInline) {
-  core::ShardWorkerPool pool(2);
-  PlaneHarness inline_h(nullptr, /*latch=*/false);
-  PlaneHarness pooled_h(&pool, /*latch=*/false);
-  for (PlaneHarness* h : {&inline_h, &pooled_h}) {
-    h->epoch_at(0.1, 200, 200);
-    h->epoch_at(0.2, 2000, 200);
-    h->epoch_at(0.3, 2000, 2000);
-    h->epoch_at(0.4, 210, 210);
-    h->epoch_at(0.5, 2000, 200);
-    h->sim.run_until(0.6);
-  }
-  EXPECT_EQ(pooled_h.plane->detection_steps_pooled(), 5u);
-  EXPECT_EQ(inline_h.plane->detection_steps_pooled(), 0u);
-
-  const auto& a = inline_h.plane->statuses();
-  const auto& b = pooled_h.plane->statuses();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].alarming, b[i].alarming);
-    EXPECT_EQ(a[i].alarms, b[i].alarms);
-    EXPECT_DOUBLE_EQ(a[i].features.d, b[i].features.d);
-    EXPECT_DOUBLE_EQ(a[i].features.velocity, b[i].features.velocity);
-    EXPECT_DOUBLE_EQ(a[i].features.fan_in, b[i].features.fan_in);
-    const auto ra = inline_h.response(a[i].victim);
-    const auto rb = pooled_h.response(b[i].victim);
-    EXPECT_EQ(ra.engaged, rb.engaged);
-    EXPECT_DOUBLE_EQ(ra.trigger_time, rb.trigger_time);
-    EXPECT_DOUBLE_EQ(ra.clear_time, rb.clear_time);
-    EXPECT_EQ(ra.atrs, rb.atrs);
-  }
-  EXPECT_EQ(inline_h.a0.activations, pooled_h.a0.activations);
-  EXPECT_EQ(inline_h.a1.activations, pooled_h.a1.activations);
 }
 
 }  // namespace
@@ -484,35 +446,6 @@ TEST(ControlPlaneExperiment, DetectorModeProtectsEveryVictim) {
 
   ASSERT_NE(exp.control_plane(), nullptr);
   EXPECT_GT(exp.control_plane()->epochs_observed(), 0u);
-  EXPECT_EQ(exp.control_plane()->detection_steps_pooled(), 0u);
-}
-
-TEST(ControlPlaneExperiment, ThreadedDatapathRunsDetectionAsPoolWork) {
-  ExperimentConfig cfg;
-  cfg.total_flows = 24;
-  cfg.tcp_fraction = 0.75;
-  cfg.router_count = 12;
-  cfg.seed = 7;
-  cfg.extra_victims = 2;
-  cfg.trigger = TriggerMode::kDetector;
-  cfg.attack_army_total_bps = 60e6;
-  cfg.pushback.detector.min_packets_per_epoch = 120;
-  cfg.num_shards = 4;
-  cfg.shard_threads = 2;
-  cfg.link_burst_size = 8;
-  cfg.end_time = 10.0;
-
-  Experiment exp(cfg);
-  const auto r = exp.run();
-  ASSERT_TRUE(r.metrics.triggered);
-  ASSERT_NE(exp.control_plane(), nullptr);
-  // Every observed epoch ran its detection step on the worker pool.
-  EXPECT_GT(exp.control_plane()->epochs_observed(), 0u);
-  EXPECT_EQ(exp.control_plane()->detection_steps_pooled(),
-            exp.control_plane()->epochs_observed());
-  for (const auto& pv : r.per_victim) {
-    EXPECT_GT(pv.trigger_time, cfg.attack_start);
-  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // packets. These tests hammer that contract with randomized spans under
 // table churn (probation resolution, capacity eviction, NFT
 // revalidation expiry, refresh lapse + reactivation), across both coin
-// modes and shard counts 1/2/4/8, through all three batch shapes
-// (contiguous, indirect span, keyed-with-sequencer). A fixed-seed
+// modes and shard counts 1/2/4/8, through both batch shapes
+// (contiguous and indirect span). A fixed-seed
 // golden then pins the verdict stream itself, so a divergence that
 // happens to cancel out in aggregate counters still fails loudly.
 
@@ -243,83 +243,6 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.mode == CoinMode::kEngineStream ? "_EngineStream"
                                                          : "_PacketHash");
     });
-
-// ---------------------------------------------------------------------
-// Keyed path: pre-hashed keys + span indices through a sequencer, as
-// the speculative journal merge drives it. Verdicts must match scalar
-// and begin_packet must announce strictly increasing span indices.
-// ---------------------------------------------------------------------
-
-class RecordingSequencer final : public BatchSequencer {
- public:
-  void begin_packet(std::uint32_t span_index) override {
-    indices.push_back(span_index);
-  }
-  std::vector<std::uint32_t> indices;
-};
-
-TEST(BranchlessKeyed, SequencedSpansMatchScalar) {
-  const MaficConfig cfg = churn_config(CoinMode::kPacketHash);
-  EngineRuntime scalar_rt(cfg, nullptr, util::Rng(99));
-  EngineRuntime keyed_rt(cfg, nullptr, util::Rng(99));
-  const VictimSet victims{util::make_addr(172, 17, 0, 1)};
-  scalar_rt.engine().activate(victims);
-  keyed_rt.engine().activate(victims);
-
-  util::Rng traffic(4242);
-  std::uint64_t uid = 1;
-  std::vector<sim::Packet> storage;
-  std::vector<const sim::Packet*> span;
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint32_t> span_idx;
-  std::vector<EngineVerdict> scalar_v;
-  std::vector<EngineVerdict> keyed_v;
-
-  double now = 0.0;
-  for (int round = 0; round < 100; ++round) {
-    const std::size_t n = 1 + traffic.index(70);
-    storage.clear();
-    span.clear();
-    keys.clear();
-    span_idx.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      // The keyed caller (the journal path) only forwards gated
-      // packets, so feed victim-bound TCP only and pre-hash the label.
-      sim::Packet p = random_packet(traffic, 160, uid++);
-      p.label.dst = util::make_addr(172, 17, 0, 1);
-      p.proto = sim::Protocol::kTcp;
-      storage.push_back(p);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      span.push_back(&storage[i]);
-      keys.push_back(sim::hash_label(storage[i].label));
-      span_idx.push_back(static_cast<std::uint32_t>(i));
-    }
-    scalar_v.resize(n);
-    keyed_v.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scalar_v[i] = scalar_rt.engine().inspect(storage[i]);
-    }
-    RecordingSequencer seq;
-    keyed_rt.engine().inspect_batch_keyed(span.data(), keys.data(),
-                                          span_idx.data(), n,
-                                          keyed_v.data(), &seq);
-    ASSERT_EQ(scalar_v, keyed_v) << "round " << round;
-    for (std::size_t i = 1; i < seq.indices.size(); ++i) {
-      ASSERT_LT(seq.indices[i - 1], seq.indices[i]) << "round " << round;
-    }
-    if (!seq.indices.empty()) ASSERT_LT(seq.indices.back(), n);
-
-    now += 0.004;
-    scalar_rt.advance_until(now);
-    keyed_rt.advance_until(now);
-  }
-
-  expect_tables_match(scalar_rt.engine().tables(),
-                      keyed_rt.engine().tables());
-  EXPECT_EQ(scalar_rt.engine().stats().dropped_probation,
-            keyed_rt.engine().stats().dropped_probation);
-}
 
 // ---------------------------------------------------------------------
 // Fixed-seed golden: the verdict stream itself, fingerprinted. Catches

@@ -3,16 +3,14 @@
 // Catalog shapes re-run with TriggerMode::kDetector — the asynchronous
 // control plane (epoch snapshots, per-victim feature detection,
 // apply-after-control-delay) replaces the scripted trigger — and must
-// stay BIT-IDENTICAL across the four comparable datapath strategies:
+// stay BIT-IDENTICAL across the two comparable datapath strategies:
 // same detector_fingerprint (decision counts + per-victim alarm/engage
 // outcome + identified-ATR set), and exactly equal per-victim trigger /
 // clear times (apply events are epoch-aligned, so the doubles match to
 // the bit even though they stay out of the hash).
 //
-// This extends the PR 3/5/6 equivalence contract to the control plane:
-// detection runs inline on the scalar/sharded strategies and as
-// ShardWorkerPool tasks on the threaded/fleet ones, and neither the
-// pooling nor fleet tick batching may move a single alarm or ATR.
+// This extends the scalar-vs-sharded equivalence contract to the control
+// plane: the shard count may not move a single alarm or ATR.
 
 #include <gtest/gtest.h>
 
@@ -70,7 +68,7 @@ const ScenarioOutcome& outcome_of(const ScenarioSpec& spec,
 
 TEST(DetectorCatalog, CrossStrategyBitIdentity) {
   const auto strategies = equivalence_strategies();
-  ASSERT_EQ(strategies.size(), 4u);
+  ASSERT_EQ(strategies.size(), 2u);
   for (const DetectorCase& c : kCases) {
     const ScenarioSpec spec = detector_spec(c);
     const ScenarioOutcome& base = outcome_of(spec, strategies.front());

@@ -1,4 +1,6 @@
-// Tests for the NFT revalidation extension (DESIGN.md A6) and the
+// Tests for the NFT revalidation extension
+// (MaficConfig::nft_revalidation_interval, the paper's future-work
+// direction; ablation A6 in docs/BENCHMARKS.md's figure map) and the
 // probe-evading adaptive attacker it defends against.
 
 #include <gtest/gtest.h>

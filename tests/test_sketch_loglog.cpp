@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sketch/hyperloglog.hpp"
 #include "sketch/loglog.hpp"
 #include "sketch/set_union.hpp"
 
@@ -41,25 +40,6 @@ TEST_P(LogLogAccuracy, WithinFifteenPercent) {
 
 INSTANTIATE_TEST_SUITE_P(Cardinalities, LogLogAccuracy,
                          ::testing::Values(5000, 20000, 100000, 500000));
-
-class HllAccuracy : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(HllAccuracy, WithinTenPercent) {
-  const std::uint64_t n = GetParam();
-  HyperLogLog c(11);
-  for (std::uint64_t i = 0; i < n; ++i) c.add(i * 0x9E3779B97F4A7C15ULL + i);
-  EXPECT_NEAR(c.estimate(), double(n), std::max(double(n) * 0.10, 8.0));
-}
-
-INSTANTIATE_TEST_SUITE_P(Cardinalities, HllAccuracy,
-                         ::testing::Values(100, 5000, 100000, 500000));
-
-TEST(HyperLogLog, SmallRangeCorrectionIsAccurate) {
-  HyperLogLog c(10);
-  for (std::uint64_t i = 0; i < 50; ++i) c.add(i);
-  // Linear counting regime: should be very tight.
-  EXPECT_NEAR(c.estimate(), 50.0, 5.0);
-}
 
 TEST(LogLog, MergeEqualsUnionOfStreams) {
   LogLog a(10, 42), b(10, 42), whole(10, 42);
@@ -133,31 +113,18 @@ TEST(SetUnion, OverlapFractionBounds) {
   EXPECT_LE(overlap_fraction(a, b), 1.0);
 }
 
-TEST(SetUnion, WorksWithHyperLogLogToo) {
-  HyperLogLog a(12, 7), b(12, 7);
-  for (std::uint64_t i = 0; i < 60000; ++i) a.add(i);
-  for (std::uint64_t i = 40000; i < 100000; ++i) b.add(i);
-  EXPECT_NEAR(intersection_estimate(a, b), 20000.0, 6000.0);
-}
-
-TEST(Sketch, HllBeatsLogLogOnAverage) {
-  // The ablation claim (A2): HLL's constant is smaller. Compare mean
-  // absolute relative error over several disjoint streams.
-  double ll_err = 0, hll_err = 0;
+TEST(Sketch, LogLogMeanErrorStaysBelowFifteenPercent) {
+  // Mean absolute relative error at p = 10 over several disjoint
+  // streams: the detector's |Dj| rule reads these estimates every epoch.
+  double ll_err = 0;
   const int kRuns = 8;
   const std::uint64_t n = 50000;
   for (int run = 0; run < kRuns; ++run) {
     LogLog ll(10, 99);
-    HyperLogLog hll(10, 99);
     const std::uint64_t base = run * 10'000'000ULL;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      ll.add(base + i);
-      hll.add(base + i);
-    }
+    for (std::uint64_t i = 0; i < n; ++i) ll.add(base + i);
     ll_err += std::abs(ll.estimate() - double(n)) / double(n);
-    hll_err += std::abs(hll.estimate() - double(n)) / double(n);
   }
-  EXPECT_LT(hll_err / kRuns, 0.08);
   EXPECT_LT(ll_err / kRuns, 0.15);
 }
 

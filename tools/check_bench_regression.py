@@ -44,12 +44,16 @@ be removed loudly, not by quietly shrinking coverage. The missing-tier
 comparison keys on (name, flows) only, NOT on the threads/serial mode
 tag, because the same sweep legitimately flips tags across boxes with
 different core counts. Rows predating the "run" field are exempt.
---allow-missing downgrades missing tiers to warnings (for intentional
-retirements; pair it with a trajectory note).
+
+A tier is retired on purpose by appending a retirement row for it:
+    {"bench": ..., "name": ..., "flows": ..., "retired": "<reason>"}
+The row clears exactly that (bench, name, flows) tier from the
+missing-tier check and prints the reason. Retirement rows carry no
+measurement and no run id, so they stay out of the time gate and the
+run grouping.
 
 Usage:
     tools/check_bench_regression.py BENCH_flow_store.json [--threshold 0.10]
-        [--allow-missing]
     tools/check_bench_regression.py --self-test
 
 A tier seen for the first time passes trivially (there is nothing to
@@ -77,21 +81,27 @@ def mode_tag(record):
     return "threads" if threads else "serial"
 
 
-def evaluate(records, threshold=0.10, allow_missing=False):
+def tier_of(record):
+    """(bench, name, flows): the key the missing-tier check uses."""
+    return (record.get("bench", "?"), record.get("name", "?"),
+            record.get("flows", 0))
+
+
+def evaluate(records, threshold=0.10):
     """The whole gate as a pure function over a record list.
 
     Returns (lines, failures, missing): the report lines to print, the
     list of over-threshold regressions, and the list of tiers the newest
-    run silently dropped. The caller decides the exit code (missing
-    tiers only fail when allow_missing is False).
+    run dropped without a retirement row. Both lists fail the gate.
     """
     lines = []
+    retired = {tier_of(r): r["retired"] for r in records if "retired" in r}
+    records = [r for r in records if "retired" not in r]
 
     # (bench, name, flows, mode) -> [(ns_per_packet, calib_ns, pps), ...]
     tiers = defaultdict(list)
     for r in records:
-        key = (r.get("bench", "?"), r.get("name", "?"), r.get("flows", 0),
-               mode_tag(r))
+        key = (*tier_of(r), mode_tag(r))
         tiers[key].append((float(r.get("ns_per_packet", 0.0)),
                            float(r.get("calib_ns", 0.0)),
                            float(r.get("pps", 0.0))))
@@ -139,8 +149,9 @@ def evaluate(records, threshold=0.10, allow_missing=False):
                      f"({delta:+.1%}){note}")
 
     # Missing-tier check: per bench, the newest run must cover every
-    # (name, flows) tier the run before it produced. Mode-tag agnostic
-    # (see module docstring); rows without a "run" id are exempt.
+    # (name, flows) tier the run before it produced, unless a retirement
+    # row names it. Mode-tag agnostic (see module docstring); rows
+    # without a "run" id are exempt.
     runs_by_bench = defaultdict(lambda: defaultdict(set))
     for r in records:
         run = r.get("run")
@@ -156,17 +167,20 @@ def evaluate(records, threshold=0.10, allow_missing=False):
         order = sorted(runs)
         prev_run, last_run = order[-2], order[-1]
         for name, flows in sorted(runs[prev_run] - runs[last_run]):
+            reason = retired.get((bench, name, flows))
+            if reason is not None:
+                lines.append(f"  retired    {bench}/{name}@{flows:.0f}: "
+                             f"{reason}")
+                continue
             missing.append(f"{bench}/{name}@{flows:.0f} "
                            f"(in run {prev_run}, absent from run {last_run})")
     if missing:
-        label = "WARNING" if allow_missing else "FAIL"
-        lines.append(f"\n{label}: {len(missing)} tier(s) from the previous "
+        lines.append(f"\nFAIL: {len(missing)} tier(s) from the previous "
                      f"run are missing from the newest run:")
         for m in missing:
             lines.append(f"  {m}")
-        if not allow_missing:
-            lines.append(
-                "pass --allow-missing if the retirement is intentional")
+        lines.append("append a retirement row for each tier removed on "
+                     "purpose")
 
     return lines, failures, missing
 
@@ -215,15 +229,29 @@ def self_test():
     check("rebases across the calibration boundary",
           len(failures) == 0 and any("rebase" in ln for ln in lines))
 
-    # 5. A tier the newest run silently dropped is reported missing;
-    #    --allow-missing keeps the report but downgrades the label.
+    # 5. A tier the newest run silently dropped is reported missing.
     two_then_one = [row(name="a", run=0), row(name="b", run=0),
                     row(name="a", run=1)]
     _, _, missing = evaluate(two_then_one)
     check("catches a silently dropped tier", len(missing) == 1)
-    lines, _, missing = evaluate(two_then_one, allow_missing=True)
-    check("--allow-missing downgrades to a warning",
-          len(missing) == 1 and any("WARNING" in ln for ln in lines))
+
+    # 5b. A retirement row clears exactly its own (bench, name, flows)
+    #     tier from the missing-tier check and prints its reason.
+    def retire(name, flows=100, bench="b"):
+        return {"bench": bench, "name": name, "flows": flows,
+                "retired": f"{name} deleted"}
+
+    three_then_one = [row(name="a", run=0), row(name="b", run=0),
+                      row(name="c", run=0), row(name="a", run=1)]
+    lines, failures, missing = evaluate(three_then_one + [retire("b")])
+    check("a retirement row clears exactly its tier",
+          len(missing) == 1 and "b/c@100" in missing[0] and not failures
+          and any("retired" in ln and "b deleted" in ln for ln in lines))
+    _, _, missing = evaluate(two_then_one + [retire("b", flows=200)])
+    check("a retirement row for another flows clears nothing",
+          len(missing) == 1 and "b/b@100" in missing[0])
+    _, _, missing = evaluate(two_then_one + [retire("z")])
+    check("an unretired dropped tier still fails", len(missing) == 1)
 
     # 6. Accuracy-only rows (ns 0, e.g. Fig. 7 lr series) skip the gate.
     _, failures, _ = evaluate([row(ns=0, run=0), row(ns=0, run=1)])
@@ -265,11 +293,6 @@ def main() -> int:
         help="max tolerated fractional ns/packet regression (default 0.10)",
     )
     parser.add_argument(
-        "--allow-missing",
-        action="store_true",
-        help="downgrade tiers missing from the newest run to warnings",
-    )
-    parser.add_argument(
         "--self-test",
         action="store_true",
         help="run the checker's own unit battery and exit",
@@ -291,12 +314,11 @@ def main() -> int:
         print(f"FAIL: {args.trajectory} is not valid JSON: {e}")
         return 1
 
-    lines, failures, missing = evaluate(records, args.threshold,
-                                        args.allow_missing)
+    lines, failures, missing = evaluate(records, args.threshold)
     for ln in lines:
         print(ln)
 
-    if failures or (missing and not args.allow_missing):
+    if failures or missing:
         if failures:
             print(f"\nFAIL: {len(failures)} tier(s) regressed more than "
                   f"{args.threshold:.0%}:")

@@ -20,9 +20,9 @@ rests on (see docs/INVARIANTS.md for the catalogue):
   hotpath      functions annotated `// maficlint: hot` may not allocate
                (new/malloc/push_back/emplace_back/resize/reserve),
                construct std::function, or throw.
-  seams        worker-side code (the journaled sub-span path) may not
-               name the Simulator, the shared Prober, or the metrics
-               ledger.
+  seams        the classify path (the verdict pipeline) may not name the
+               Simulator, the shared Prober, or the metrics ledger; the
+               control-plane files may not name the datapath engines.
 
 Escape hatch: `// maficlint: allow(<rule>) <reason>` on the offending
 line (or the line directly above) suppresses that line for that rule.
@@ -487,7 +487,7 @@ def check_seams(files, manifest):
     cfg = manifest.get("seams", {})
     groups = []
     if cfg.get("worker_files"):
-        groups.append(("worker-side", cfg.get("worker_files", []),
+        groups.append(("classify-path", cfg.get("worker_files", []),
                        cfg.get("banned", [])))
     for name, sub in sorted(cfg.items()):
         if isinstance(sub, dict):
