@@ -6,8 +6,10 @@
 /// global state, so independent simulations can coexist in one process.
 ///
 /// Two event sources drive the clock:
-///  * the binary-heap EventQueue — exact-time, one-shot events (packet
-///    arrivals, transmissions, experiment scripting);
+///  * the EventQueue — a binary heap of 16-byte (time, id) entries over a
+///    slab of callables: exact-time, one-shot events (packet arrivals,
+///    transmissions, experiment scripting); equal times fire in schedule
+///    order;
 ///  * the hierarchical TimerWheel — high-churn per-flow timers (probation
 ///    probes/decisions, keep-alives) with O(1) schedule/cancel/reschedule,
 ///    quantized to the wheel resolution.
@@ -33,11 +35,13 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `fn` after `delay` seconds (clamped to now for negatives).
+  /// A NaN delay throws std::invalid_argument.
   EventId schedule(SimTime delay, EventFn fn) {
-    return schedule_at(delay > 0 ? now_ + delay : now_, std::move(fn));
+    return schedule_at(delay <= 0 ? now_ : now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at absolute time `t` (clamped to now if in the past).
+  /// A NaN time throws std::invalid_argument.
   EventId schedule_at(SimTime t, EventFn fn) {
     return queue_.push(t < now_ ? now_ : t, std::move(fn));
   }
@@ -48,9 +52,10 @@ class Simulator {
   /// Schedules `fn` on the timer wheel after `delay` seconds. Fires at the
   /// first tick boundary at or after the nominal time. Prefer this over
   /// schedule() for per-flow timers that are frequently cancelled or
-  /// rescheduled — all three operations are O(1) on the wheel.
+  /// rescheduled — all three operations are O(1) on the wheel. A time
+  /// with no tick count (NaN, +inf, or huge) throws std::invalid_argument.
   TimerId schedule_timer(SimTime delay, TimerFn fn) {
-    return wheel_.schedule_at(delay > 0 ? now_ + delay : now_,
+    return wheel_.schedule_at(delay <= 0 ? now_ : now_ + delay,
                               std::move(fn));
   }
 

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 namespace mafic::sim {
 
@@ -31,7 +32,12 @@ std::uint64_t TimerWheel::quantize(SimTime t, SimTime resolution) noexcept {
   return tick;
 }
 
-std::uint64_t TimerWheel::tick_for(SimTime t) const noexcept {
+std::uint64_t TimerWheel::tick_for(SimTime t) const {
+  // quantize() casts t / resolution to uint64_t: NaN, +inf and quotients
+  // of 2^64 or more have no such value.
+  if (!(t <= 0.0) && !(t / resolution_ < 0x1p64)) {
+    throw std::invalid_argument("TimerWheel: time beyond the tick range");
+  }
   return quantize(t, resolution_);
 }
 
@@ -126,10 +132,11 @@ void TimerWheel::unlink(std::uint32_t idx) noexcept {
 }
 
 TimerId TimerWheel::schedule_at(SimTime t, TimerFn fn) {
+  const std::uint64_t tick = tick_for(t);
   const std::uint32_t idx = alloc_node();
   Node& n = nodes_[idx];
   n.fn = std::move(fn);
-  n.expiry_tick = tick_for(t);
+  n.expiry_tick = tick;
   n.seq = next_seq_++;
   place(idx);
   ++size_;
@@ -153,10 +160,10 @@ bool TimerWheel::cancel(TimerId id) {
 }
 
 bool TimerWheel::reschedule(TimerId id, SimTime t) {
+  const std::uint64_t tick = tick_for(t);
   Node* n = resolve(id);
   if (n == nullptr) return false;
   const auto idx = static_cast<std::uint32_t>(n - nodes_.data());
-  const std::uint64_t tick = tick_for(t);
   if (n->where == kInDue) {
     // Same tick (or committed past): it fires this batch either way.
     const std::uint64_t target = tick > fired_tick_ ? tick : fired_tick_;

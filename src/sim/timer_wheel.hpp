@@ -56,7 +56,9 @@ class TimerWheel {
   static std::uint64_t quantize(SimTime t, SimTime resolution) noexcept;
 
   /// Schedules `fn` at the first tick boundary at or after absolute time
-  /// `t` (clamped to the wheel's current position for past times).
+  /// `t` (clamped to the wheel's current position for past times). Throws
+  /// std::invalid_argument when `t` has no tick count in uint64_t (NaN,
+  /// +inf, or huge).
   TimerId schedule_at(SimTime t, TimerFn fn);
 
   /// Cancels a pending timer. Returns false (and is harmless) if the id
@@ -66,6 +68,7 @@ class TimerWheel {
   /// Moves a pending timer to a new absolute time, keeping its id.
   /// Returns false if the id is stale (caller should schedule afresh).
   /// The rescheduled timer orders after already-armed same-tick timers.
+  /// Rejects the same times as schedule_at().
   bool reschedule(TimerId id, SimTime t);
 
   bool empty() const noexcept { return size_ == 0; }
@@ -115,7 +118,8 @@ class TimerWheel {
     std::uint64_t seq;  ///< staleness check: must match the node's seq
   };
 
-  std::uint64_t tick_for(SimTime t) const noexcept;
+  /// quantize() for this wheel; throws where quantize() would overflow.
+  std::uint64_t tick_for(SimTime t) const;
   SimTime time_of(std::uint64_t tick) const noexcept {
     return static_cast<SimTime>(tick) * resolution_;
   }

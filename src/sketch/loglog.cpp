@@ -36,14 +36,22 @@ void LogLog::add(std::uint64_t item) noexcept {
 }
 
 double LogLog::estimate() const noexcept {
-  const auto m = static_cast<double>(registers_.size());
-  double sum = 0.0;
-  std::size_t zeros = 0;
-  for (const auto r : registers_) {
-    sum += static_cast<double>(r);
-    if (r == 0) ++zeros;
+  // Ranks are <= 61 and there are <= 2^20 registers, so integer sums are
+  // exact (and vectorize); they convert to the same double a
+  // double-accumulating loop would reach.
+  std::uint32_t sum = 0;
+  std::uint32_t zeros = 0;
+  for (const std::uint8_t r : registers_) {
+    sum += r;
+    zeros += r == 0 ? 1u : 0u;
   }
-  const double raw = alpha_m_ * m * std::exp2(sum / m);
+  return estimate_from(sum, zeros);
+}
+
+double LogLog::estimate_from(std::uint32_t sum,
+                             std::uint32_t zeros) const noexcept {
+  const auto m = static_cast<double>(registers_.size());
+  const double raw = alpha_m_ * m * std::exp2(static_cast<double>(sum) / m);
   // Small-range correction (super-LogLog style): the raw estimator floors
   // at alpha_m * m, which would make near-empty per-epoch router sketches
   // look like hundreds of packets. Linear counting over the untouched
@@ -65,9 +73,21 @@ void LogLog::merge(const LogLog& other) {
 }
 
 double LogLog::union_estimate(const LogLog& a, const LogLog& b) {
-  LogLog u = a;
-  u.merge(b);
-  return u.estimate();
+  if (!a.compatible(b)) {
+    throw std::invalid_argument("merging incompatible LogLog counters");
+  }
+  // The estimate of a copy of `a` merged with `b`, in one register-wise
+  // max pass without the copy.
+  const std::uint8_t* ra = a.registers_.data();
+  const std::uint8_t* rb = b.registers_.data();
+  std::uint32_t sum = 0;
+  std::uint32_t zeros = 0;
+  for (std::size_t i = 0; i < a.registers_.size(); ++i) {
+    const std::uint8_t r = std::max(ra[i], rb[i]);
+    sum += r;
+    zeros += r == 0 ? 1u : 0u;
+  }
+  return a.estimate_from(sum, zeros);
 }
 
 }  // namespace mafic::sketch

@@ -35,7 +35,8 @@ class LogLog {
   /// Register-wise max merge; requires compatible() with `other`.
   void merge(const LogLog& other);
 
-  /// Union estimate of two compatible counters without mutating either.
+  /// Union estimate of two compatible counters without mutating either:
+  /// exactly the estimate() of `a` merged with `b`. Throws like merge().
   static double union_estimate(const LogLog& a, const LogLog& b);
 
   bool compatible(const LogLog& other) const noexcept {
@@ -61,6 +62,9 @@ class LogLog {
   }
 
  private:
+  /// The estimator over a register sum and a count of zero registers.
+  double estimate_from(std::uint32_t sum, std::uint32_t zeros) const noexcept;
+
   unsigned precision_bits_;
   std::uint64_t hash_seed_;
   std::vector<std::uint8_t> registers_;

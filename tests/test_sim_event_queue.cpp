@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace mafic::sim {
 namespace {
@@ -155,6 +161,79 @@ TEST(EventQueue, CompactionPreservesOrderAndLiveness) {
     ASSERT_EQ(order.back(), expect++);
   }
   EXPECT_EQ(expect, 200);
+}
+
+TEST(EventQueue, RejectsNaNTime) {
+  // A NaN compares false both ways, so a heap holding one pops out of
+  // order: the queue must refuse it and stay intact.
+  EventQueue q;
+  std::vector<double> order;
+  for (const double t : {5.0, 3.0, std::nan(""), 1.0, 4.0, 2.0, 0.5, 6.0,
+                         2.5}) {
+    if (std::isnan(t)) {
+      EXPECT_THROW(q.push(t, [] {}), std::invalid_argument);
+      continue;
+    }
+    q.push(t, [&order, t] { order.push_back(t); });
+  }
+  EXPECT_EQ(q.size(), 8u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order,
+            (std::vector<double>{0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0}));
+  // Infinite times are ordered and stay accepted.
+  q.push(std::numeric_limits<double>::infinity(), [] {});
+  q.push(-std::numeric_limits<double>::infinity(), [] {});
+  EXPECT_EQ(q.next_time(), -std::numeric_limits<double>::infinity());
+}
+
+TEST(EventQueue, SlabPlateausUnderChurn) {
+  // 1M mixed push/pop/cancel operations with at most 64 live events: the
+  // callable slab must stay at the concurrency high-water mark and the
+  // heap within twice it, whatever the ids issued.
+  constexpr std::size_t kMaxLive = 64;
+  EventQueue q;
+  util::Rng rng(17);
+  std::vector<EventId> live;
+  std::size_t peak_footprint = 0;
+  double now = 0.0;
+  for (int op = 0; op < 1'000'000; ++op) {
+    const double action = rng.uniform01();
+    if (live.size() < kMaxLive && (action < 0.5 || live.empty())) {
+      live.push_back(q.push(now + rng.uniform(0.0, 10.0), [] {}));
+    } else if (action < 0.75) {
+      const std::size_t pick = rng.index(live.size());
+      ASSERT_TRUE(q.cancel(live[pick]));
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      const auto ev = q.pop();
+      now = ev.time;
+      const auto it = std::find(live.begin(), live.end(), ev.id);
+      ASSERT_NE(it, live.end());
+      *it = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(q.size(), live.size());
+    peak_footprint = std::max(peak_footprint, q.heap_footprint());
+  }
+  EXPECT_LE(q.slab_size(), kMaxLive);
+  EXPECT_LE(peak_footprint, 2 * kMaxLive);
+  EXPECT_GT(q.compactions(), 0u);
+}
+
+TEST(EventQueue, ClearInvalidatesOutstandingIds) {
+  EventQueue q;
+  bool ran = false;
+  const EventId old_id = q.push(1.0, [] {});
+  q.clear();
+  // The new event takes the same slot; the old id must not reach it.
+  const EventId new_id = q.push(1.0, [&] { ran = true; });
+  EXPECT_EQ(q.slab_size(), 1u);
+  EXPECT_GT(new_id, old_id);
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().fn();
+  EXPECT_TRUE(ran);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering) {

@@ -26,22 +26,33 @@ class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EventQueueFuzz, MatchesReferenceModel) {
   util::Rng rng(GetParam());
   EventQueue q;
-  // Reference: ordered multimap (time, id) of live events.
+  // Reference: ordered multimap (time, id) of live events. Ids increase
+  // with push order, so the model breaks time ties by schedule order.
   std::multimap<std::pair<SimTime, EventId>, int> model;
   std::vector<EventId> live_ids;
+  // Ids already popped or cancelled: their slots get reused, so a stale
+  // cancel must fail and leave the slot's new occupant alive.
+  std::vector<EventId> dead_ids;
   int next_tag = 0;
-  std::vector<int> popped_real, popped_model;
+  std::vector<EventId> popped_real, popped_model;
 
   for (int step = 0; step < 5000; ++step) {
     const double action = rng.uniform01();
     if (action < 0.55 || q.empty()) {
-      const SimTime t = rng.uniform(0.0, 100.0);
+      // Half the times on a coarse grid, so that ties are frequent.
+      const SimTime t = rng.uniform01() < 0.5
+                            ? 5.0 * static_cast<double>(rng.index(20))
+                            : rng.uniform(0.0, 100.0);
       const int tag = next_tag++;
       const EventId id = q.push(t, [] {});
       model.emplace(std::make_pair(t, id), tag);
       live_ids.push_back(id);
+    } else if (action < 0.65 && !dead_ids.empty()) {
+      // Cancel a stale id.
+      const EventId id = dead_ids[rng.index(dead_ids.size())];
+      EXPECT_FALSE(q.cancel(id));
     } else if (action < 0.75 && !live_ids.empty()) {
-      // Cancel a random (possibly stale) id.
+      // Cancel a random live id.
       const std::size_t pick = rng.index(live_ids.size());
       const EventId id = live_ids[pick];
       const bool cancelled = q.cancel(id);
@@ -54,20 +65,23 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
           break;
         }
       }
+      EXPECT_TRUE(cancelled);
       EXPECT_EQ(cancelled, in_model);
       live_ids.erase(live_ids.begin() + long(pick));
+      dead_ids.push_back(id);
     } else if (!q.empty()) {
       auto popped = q.pop();
       ASSERT_FALSE(model.empty());
       const auto expect = model.begin();
       EXPECT_DOUBLE_EQ(popped.time, expect->first.first);
       EXPECT_EQ(popped.id, expect->first.second);
-      popped_real.push_back(int(popped.id));
-      popped_model.push_back(int(expect->first.second));
+      popped_real.push_back(popped.id);
+      popped_model.push_back(expect->first.second);
       model.erase(expect);
       live_ids.erase(
           std::remove(live_ids.begin(), live_ids.end(), popped.id),
           live_ids.end());
+      dead_ids.push_back(popped.id);
     }
     ASSERT_EQ(q.size(), model.size());
   }

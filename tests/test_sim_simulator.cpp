@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace mafic::sim {
@@ -46,6 +48,18 @@ TEST(Simulator, NegativeDelayClampsToNow) {
   sim.schedule(-3.0, [&] { seen = sim.now(); });
   sim.run();
   EXPECT_DOUBLE_EQ(seen, 0.0);
+}
+
+TEST(Simulator, NaNDelayThrows) {
+  // A NaN delay fails every comparison: a `delay > 0 ? ... : now` clamp
+  // would turn it into "now" instead of reaching the queue's check.
+  Simulator sim;
+  const double nan = std::nan("");
+  EXPECT_THROW(sim.schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_timer(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_timer_at(nan, [] {}), std::invalid_argument);
+  EXPECT_FALSE(sim.pending());
 }
 
 TEST(Simulator, RunUntilProcessesOnlyDueEvents) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -256,6 +259,26 @@ TEST(TimerWheel, ClearDropsEverythingAndInvalidatesIds) {
   EXPECT_EQ(w.size(), 1u);
   while (!w.empty()) w.pop().fn();
   EXPECT_FALSE(ran);
+}
+
+TEST(TimerWheel, RejectsTimesBeyondTickRange) {
+  // NaN, +inf and times whose tick count overflows uint64_t have no tick
+  // to land on: schedule_at and reschedule must throw, not convert.
+  TimerWheel w(kRes);
+  const TimerId id = w.schedule_at(0.010, [] {});
+  for (const double t : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         1e300, 0x1p65 * kRes}) {
+    EXPECT_THROW(w.schedule_at(t, [] {}), std::invalid_argument) << t;
+    EXPECT_THROW(w.reschedule(id, t), std::invalid_argument) << t;
+  }
+  EXPECT_EQ(w.size(), 1u);
+  EXPECT_EQ(w.slab_size(), 1u);
+  // -inf stays a past time: it clamps to the cursor.
+  w.schedule_at(-std::numeric_limits<double>::infinity(), [] {});
+  EXPECT_DOUBLE_EQ(w.next_time(), 0.0);
+  EXPECT_NE(w.pop().id, id);
+  EXPECT_EQ(w.pop().id, id);
+  EXPECT_TRUE(w.empty());
 }
 
 TEST(TimerWheel, SlabPlateausUnderChurn) {

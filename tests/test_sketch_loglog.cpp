@@ -57,6 +57,8 @@ TEST(LogLog, MergeRequiresCompatibility) {
   LogLog a(10, 1), b(10, 2), c(11, 1);
   EXPECT_THROW(a.merge(b), std::invalid_argument);  // different seed
   EXPECT_THROW(a.merge(c), std::invalid_argument);  // different precision
+  EXPECT_THROW(LogLog::union_estimate(a, b), std::invalid_argument);
+  EXPECT_THROW(LogLog::union_estimate(a, c), std::invalid_argument);
   EXPECT_FALSE(a.compatible(b));
   LogLog d(10, 1);
   EXPECT_TRUE(a.compatible(d));
@@ -69,6 +71,54 @@ TEST(LogLog, UnionEstimateDoesNotMutate) {
   const double ea = a.estimate();
   (void)LogLog::union_estimate(a, b);
   EXPECT_DOUBLE_EQ(a.estimate(), ea);
+}
+
+/// The estimator recomputed from registers() with a double accumulator;
+/// `linear` reports whether it took the linear-counting branch.
+double reference_estimate(const LogLog& c, bool* linear = nullptr) {
+  const auto m = static_cast<double>(c.register_count());
+  double sum = 0.0;
+  std::size_t zeros = 0;
+  for (const auto r : c.registers()) {
+    sum += static_cast<double>(r);
+    if (r == 0) ++zeros;
+  }
+  const double raw = loglog_alpha(c.register_count()) * m * std::exp2(sum / m);
+  const bool small = zeros > 0 && raw < 3.0 * m;
+  if (linear != nullptr) *linear = small;
+  return small ? m * std::log(m / static_cast<double>(zeros)) : raw;
+}
+
+// Fill levels from a handful of items (linear counting) to many items per
+// register (raw estimator), at the smallest, default and a large
+// precision. The integer-summing estimate() and the copy-free union must
+// give exactly the doubles of the reference and of an explicit merge.
+TEST(LogLog, UnionEstimateIsBitExactMerge) {
+  bool saw_linear = false;
+  bool saw_raw = false;
+  for (const unsigned p : {4u, 10u, 16u}) {
+    for (const double per_register : {0.05, 0.5, 2.0, 20.0}) {
+      LogLog a(p, 9), b(p, 9);
+      const auto n = static_cast<std::uint64_t>(
+          per_register * static_cast<double>(a.register_count()));
+      for (std::uint64_t i = 0; i < n; ++i) a.add(i);
+      for (std::uint64_t i = n / 2; i < n + n / 2; ++i) b.add(i);
+      EXPECT_EQ(a.estimate(), reference_estimate(a)) << "p=" << p;
+      LogLog merged = a;
+      merged.merge(b);
+      bool linear = false;
+      const double expect = merged.estimate();
+      EXPECT_EQ(expect, reference_estimate(merged, &linear))
+          << "p=" << p << " n=" << n;
+      EXPECT_EQ(LogLog::union_estimate(a, b), expect)
+          << "p=" << p << " n=" << n;
+      EXPECT_EQ(LogLog::union_estimate(b, a), expect)
+          << "p=" << p << " n=" << n;
+      (linear ? saw_linear : saw_raw) = true;
+    }
+  }
+  EXPECT_TRUE(saw_linear);
+  EXPECT_TRUE(saw_raw);
 }
 
 TEST(LogLog, ResetClearsRegisters) {
