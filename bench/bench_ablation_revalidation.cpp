@@ -57,7 +57,7 @@ int main() {
       "    revalidation also re-probes legitimate flows, raising Lr\n"
       "  - a fully adaptive evader re-passes each fresh probation by\n"
       "    pausing again, so revalidation THROTTLES it (attack column\n"
-      "    drops ~35%) but cannot eliminate it — and re-probing legitimate\n"
+      "    drops ~35%%) but cannot eliminate it — and re-probing legitimate\n"
       "    flows is expensive. Per-flow probing needs an aggregate\n"
       "    backstop against adaptive floods; the paper's future-work\n"
       "    section points the same direction\n"

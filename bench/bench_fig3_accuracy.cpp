@@ -32,9 +32,11 @@ int main() {
   std::printf("\npaper: alpha stays within 99.2-99.8%% across all settings\n");
 
   // Sharded-datapath cross-check: the same figure points driven through
-  // the 4-shard burst datapath must reproduce the scalar path's
-  // classification decisions exactly (fixed seed, CoinMode::kPacketHash).
-  std::printf("\n== sharded datapath cross-check (burst=8) ==\n");
+  // 4-shard filters must reproduce the scalar path's classification
+  // decisions exactly (fixed seed, stateless Pd coins). The uplinks send
+  // bursts of 8, after the filters: each filter sits before its queue and
+  // inspects one packet at a time.
+  std::printf("\n== sharded datapath cross-check (4 shards vs 1) ==\n");
   bool ok = true;
   for (const std::size_t vt : {30, 70}) {
     scenario::ExperimentConfig base;

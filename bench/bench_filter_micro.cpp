@@ -67,7 +67,7 @@ void BM_MaficFilterSteadyState(benchmark::State& state) {
   cfg.pdt_capacity = 1 << 20;
   cfg.nft_capacity = 1 << 20;
   auto filter = std::make_unique<core::MaficFilter>(
-      &sim, &factory, atr, cfg, nullptr, util::Rng(1));
+      &sim, &factory, atr, cfg, nullptr);
 
   const util::Addr victim = util::make_addr(172, 17, 0, 1);
   filter->activate({victim});
@@ -88,7 +88,7 @@ void BM_MaficFilterSteadyState(benchmark::State& state) {
   // the wheel's decision timers resolve every probation into NFT/PDT.
   // The measured loop is then the true steady state (zero admissions).
   for (int round = 0; round < 8; ++round) {
-    const auto& tables = filter->tables();
+    const auto& tables = filter->engine(0).tables();
     if (tables.nft_size() + tables.pdt_size() >= population) break;
     for (const auto& label : labels) {
       const std::uint64_t key = sim::hash_label(label);

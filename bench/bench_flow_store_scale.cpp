@@ -62,7 +62,6 @@
 #include "core/flow_tables.hpp"
 #include "core/mafic_filter.hpp"
 #include "core/sharded_filter.hpp"
-#include "core/sharded_mafic_filter.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/scenario_catalog.hpp"
 #include "sim/network.hpp"
@@ -210,7 +209,7 @@ InspectResult steady_state_inspect(std::uint64_t population,
   cfg.probe_enabled = false;  // probes need a wired topology
   cfg.default_rtt = 0.02;     // 0.04 s probation windows
 
-  core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr, util::Rng(7));
+  core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr);
   class Sink final : public sim::Connector {
    public:
     void recv(sim::PacketPtr) override {}
@@ -229,7 +228,7 @@ InspectResult steady_state_inspect(std::uint64_t population,
   // Warmup rounds: every still-untabled flow offers one packet per round
   // (Pd = 0.9 admits most on first sight); advancing the clock fires the
   // wheel's decision timers, resolving each probation into NFT/PDT.
-  const auto& tables = filter.tables();
+  const auto& tables = filter.engine(0).tables();
   for (int round = 0; round < 80; ++round) {
     if (tables.nft_size() + tables.pdt_size() >= population) break;
     for (std::uint64_t i = 0; i < population; ++i) {
@@ -285,8 +284,7 @@ ShardedFixture build_sharded(std::size_t shards, std::uint64_t total_flows) {
   cfg.default_rtt = 0.02;
 
   ShardedFixture fx;
-  fx.filter = std::make_unique<core::ShardedFilter>(shards, cfg, nullptr,
-                                                    /*seed=*/42);
+  fx.filter = std::make_unique<core::ShardedFilter>(shards, cfg, nullptr);
   fx.filter->activate({util::make_addr(172, 17, 0, 1)});
 
   fx.stream.resize(shards);
@@ -558,8 +556,9 @@ double run_admission_flood_quota(std::uint64_t iterations,
 }
 
 /// End-to-end sharded-simulation gate: a fixed-seed figure-bench-shaped
-/// run with num_shards = 4 and burst links must make classification
-/// decisions identical to the scalar (num_shards = 1) path — once with
+/// run with num_shards = 4 must make classification decisions identical
+/// to the scalar (num_shards = 1) path (the uplinks send bursts of 8,
+/// after the filters, which inspect one packet at a time) — once with
 /// the legacy global eviction ring and once with per-victim quotas on
 /// (extra victim + sft_victim_quota; per-shard quota accounting is
 /// shard-local, so the sums must stay deterministic). Returns true when
@@ -597,7 +596,7 @@ bool check_sim_sharded_equivalence() {
         scalar.probes_issued == sharded.probes_issued &&
         scalar.events_processed == sharded.events_processed &&
         scalar.sft_admissions > 0;
-    std::printf("\nsharded sim equivalence (burst=8, quotas %s): scalar "
+    std::printf("\nsharded sim equivalence (uplink burst=8, quotas %s): scalar "
                 "%llu->NFT %llu->PDT vs 4-shard %llu->NFT %llu->PDT: %s\n",
                 quotas ? "on" : "off",
                 static_cast<unsigned long long>(scalar.moved_to_nft),

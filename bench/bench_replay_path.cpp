@@ -3,8 +3,8 @@
 // FilterEngine / ShardedFilter directly — no sim::Simulator, no event
 // heap, no PacketPtr lifecycle — so the reported packets/sec is the
 // datapath's own, and pairing every replay tier with a sim-driven twin
-// (the same trace delivered as simulator burst events through
-// ShardedMaficFilter) turns "sim overhead" into a visible number
+// (the same trace delivered as simulator burst events through a
+// MaficFilter) turns "sim overhead" into a visible number
 // instead of a confound baked into every published tier.
 //
 // Trace tiers, each stationary by construction:
@@ -57,8 +57,8 @@
 #endif
 
 #include "bench_json.hpp"
+#include "core/mafic_filter.hpp"
 #include "core/sharded_filter.hpp"
-#include "core/sharded_mafic_filter.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/hash.hpp"
@@ -110,8 +110,8 @@ sim::Packet make_packet(const sim::FlowLabel& label, std::uint64_t uid) {
 
 /// A replay fixture is a standalone ShardedFilter (manual clocks, no
 /// simulator) plus the exact warm-up packet sequence that produced its
-/// table state — replayed verbatim (same uids, so under kPacketHash the
-/// same coins) into the sim twin, which therefore reaches the same
+/// table state — replayed verbatim (same uids, so the same coins) into
+/// the sim twin, which therefore reaches the same
 /// steady state before its timed window.
 struct Fixture {
   std::unique_ptr<core::ShardedFilter> filter;
@@ -134,8 +134,7 @@ core::MaficConfig base_config(std::size_t shards, std::uint64_t flows,
   // stays inside every flow's window without touching the clock.
   cfg.default_rtt = cfg.max_rtt;
   // Stateless coins: the twin replays the same (seed, key, uid) triples
-  // and lands on the same admissions; draw-order bookkeeping vanishes.
-  cfg.coin_mode = core::CoinMode::kPacketHash;
+  // and lands on the same admissions.
   cfg.coin_seed = 0x5eedULL;
   return cfg;
 }
@@ -147,8 +146,7 @@ Fixture build_steady(std::size_t shards, std::uint64_t flows) {
   Fixture fx;
   fx.cfg = base_config(shards, flows, /*pd=*/1.0);
   fx.resolve = true;
-  fx.filter = std::make_unique<core::ShardedFilter>(shards, fx.cfg, nullptr,
-                                                    /*seed=*/42);
+  fx.filter = std::make_unique<core::ShardedFilter>(shards, fx.cfg, nullptr);
   fx.filter->activate({kVictim});
   fx.warm.reserve(flows);
   for (std::uint64_t i = 0; i < flows; ++i) {
@@ -165,8 +163,7 @@ Fixture build_steady(std::size_t shards, std::uint64_t flows) {
 Fixture build_probation(std::uint64_t flows) {
   Fixture fx;
   fx.cfg = base_config(1, flows, /*pd=*/0.9);
-  fx.filter = std::make_unique<core::ShardedFilter>(1, fx.cfg, nullptr,
-                                                    /*seed=*/42);
+  fx.filter = std::make_unique<core::ShardedFilter>(1, fx.cfg, nullptr);
   fx.filter->activate({kVictim});
   const core::FilterEngine& eng = fx.filter->engine(0);
   std::uint64_t uid = 1;
@@ -196,8 +193,7 @@ Fixture build_flood(std::uint64_t sft_capacity, std::uint64_t* labels_used) {
   Fixture fx;
   fx.cfg = base_config(1, sft_capacity, /*pd=*/0.9);
   fx.cfg.sft_capacity = sft_capacity;  // exact: full table, every slot live
-  fx.filter = std::make_unique<core::ShardedFilter>(1, fx.cfg, nullptr,
-                                                    /*seed=*/42);
+  fx.filter = std::make_unique<core::ShardedFilter>(1, fx.cfg, nullptr);
   fx.filter->activate({kVictim});
   const core::FlowTables& tables = fx.filter->engine(0).tables();
   std::uint64_t id = 0;
@@ -454,9 +450,9 @@ class CountingSink final : public sim::Connector {
 };
 
 /// The simulator-driven twin of one replay tier: the same warm-up and
-/// trace packets (same uids, so under kPacketHash the same coins and
-/// the same table trajectory) delivered as scheduled burst events
-/// through ShardedMaficFilter. The ns/pkt delta against the replay tier
+/// trace packets (same uids, so the same coins and the same table
+/// trajectory) delivered as scheduled burst events through a
+/// MaficFilter. The ns/pkt delta against the replay tier
 /// is the simulator's own cost — event heap, PacketPtr lifecycle,
 /// connector dispatch — on top of an identical classify workload.
 double run_sim_twin(const Fixture& fx, std::size_t shards,
@@ -465,8 +461,7 @@ double run_sim_twin(const Fixture& fx, std::size_t shards,
   sim::Network net(&sim);
   sim::PacketFactory factory;
   sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
-  core::ShardedMaficFilter filter(&sim, &factory, atr, shards, fx.cfg,
-                                  nullptr, /*seed=*/42);
+  core::MaficFilter filter(&sim, &factory, atr, fx.cfg, nullptr, shards);
   CountingSink sink;
   filter.set_target(&sink);
   filter.activate({kVictim});

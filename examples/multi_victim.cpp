@@ -16,16 +16,21 @@
 //   cmake -B build && cmake --build build
 //   ./build/example_multi_victim
 
-#include <cassert>
 #include <cstdio>
 
-#include "core/sharded_filter.hpp"
 #include "core/standalone_runtime.hpp"
 #include "scenario/experiment.hpp"
 
 using namespace mafic;
 
-static void part1_engine_partitioning() {
+/// An outcome check that survives Release builds (unlike assert): prints
+/// the failed expectation and reports it to the caller.
+static bool check(bool ok, const char* what) {
+  if (!ok) std::printf("  FAILED: %s\n", what);
+  return ok;
+}
+
+static bool part1_engine_partitioning() {
   std::printf("--- part 1: one engine, two victims, one source ---\n");
 
   core::MaficConfig cfg;
@@ -33,7 +38,7 @@ static void part1_engine_partitioning() {
   cfg.drop_probability = 1.0;   // deterministic admission for the demo
   cfg.probe_enabled = false;
 
-  core::EngineRuntime rt(cfg, nullptr, util::Rng(7));
+  core::EngineRuntime rt(cfg, nullptr);
   core::FilterEngine& engine = rt.engine();
 
   const util::Addr victim_a = util::make_addr(172, 17, 0, 1);
@@ -49,12 +54,12 @@ static void part1_engine_partitioning() {
 
   const std::uint64_t key_a = sim::hash_label(to_a.label);
   const std::uint64_t key_b = sim::hash_label(to_b.label);
-  assert(key_a != key_b);  // dst is part of the flow identity
+  bool ok = check(key_a != key_b, "dst is part of the flow identity");
 
   // Both flows get admitted on first sight (Pd = 1)...
   engine.inspect(to_a);
   engine.inspect(to_b);
-  assert(engine.tables().sft_size() == 2);
+  ok &= check(engine.tables().sft_size() == 2, "both flows admitted");
 
   // ...then the A flow keeps flooding through both half-windows while the
   // B flow goes quiet (a genuine sender reacting to the drop).
@@ -72,19 +77,27 @@ static void part1_engine_partitioning() {
               core::to_string(engine.tables().in_nft(key_b)
                                   ? core::TableKind::kNice
                                   : core::TableKind::kNone));
-  assert(engine.tables().in_pdt(key_a));
-  assert(engine.tables().in_nft(key_b));
+  ok &= check(engine.tables().in_pdt(key_a), "flow -> A in the PDT");
+  ok &= check(engine.tables().in_nft(key_b), "flow -> B in the NFT");
 
   const auto& per_victim = engine.victim_stats();
-  assert(per_victim.at(victim_a).decided_malicious == 1);
-  assert(per_victim.at(victim_a).decided_nice == 0);
-  assert(per_victim.at(victim_b).decided_nice == 1);
-  assert(per_victim.at(victim_b).decided_malicious == 0);
+  const auto stats_of = [&](util::Addr v) {
+    const auto it = per_victim.find(v);
+    return it != per_victim.end() ? it->second
+                                  : core::FilterEngine::VictimStats{};
+  };
+  ok &= check(stats_of(victim_a).decided_malicious == 1 &&
+                  stats_of(victim_a).decided_nice == 0,
+              "victim A: one malicious decision, no nice one");
+  ok &= check(stats_of(victim_b).decided_nice == 1 &&
+                  stats_of(victim_b).decided_malicious == 0,
+              "victim B: one nice decision, no malicious one");
   std::printf("  same source, independent verdicts per victim — "
               "partitioned tables\n\n");
+  return ok;
 }
 
-static void part2_scenario_breakdown() {
+static bool part2_scenario_breakdown() {
   std::printf("--- part 2: full scenario, 2 victims through shared ATRs "
               "---\n");
 
@@ -98,7 +111,9 @@ static void part2_scenario_breakdown() {
   scenario::Experiment exp(cfg);
   const scenario::ExperimentResult r = exp.run();
 
-  assert(r.per_victim.size() == 2);
+  if (!check(r.per_victim.size() == 2, "two victims reported")) {
+    return false;
+  }
   for (const auto& v : r.per_victim) {
     std::printf("  victim %-16s nice=%llu malicious=%llu screened=%llu\n",
                 util::format_addr(v.victim).c_str(),
@@ -107,20 +122,22 @@ static void part2_scenario_breakdown() {
                 static_cast<unsigned long long>(v.screened_sources));
   }
   // Both victims' flow populations went through probation independently.
-  assert(r.per_victim[0].decided_nice + r.per_victim[0].decided_malicious >
-         0);
-  assert(r.per_victim[1].decided_nice + r.per_victim[1].decided_malicious >
-         0);
+  bool ok = true;
+  for (const auto& v : r.per_victim) {
+    ok &= check(v.decided_nice + v.decided_malicious > 0,
+                "every victim's flows went through probation");
+  }
   // alpha covers defense drops at every ATR; beta and the bandwidth
   // series are measured on the primary victim's access link only.
   std::printf("  alpha=%.1f%% (all victims), beta=%.1f%% (primary victim's "
               "link)\n",
               r.metrics.alpha * 100.0, r.metrics.beta * 100.0);
+  return ok;
 }
 
 int main() {
-  part1_engine_partitioning();
-  part2_scenario_breakdown();
-  std::printf("\nmulti-victim defense OK\n");
-  return 0;
+  bool ok = part1_engine_partitioning();
+  ok &= part2_scenario_breakdown();
+  std::printf("\nmulti-victim defense %s\n", ok ? "OK" : "FAILED");
+  return ok ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 // The argless invocation only prints the table (CI runs every example
 // with no arguments; nominal entries are internet-scale and take
 // minutes). --smoke is the Release-job step: every entry shrunk by
-// smoke_scale(), run under the scalar tail strategy, fingerprint and
+// smoke_scale(), run under the scalar strategy, fingerprint and
 // headline metrics printed.
 //
 // docs/SCENARIOS.md documents the same catalog; the cross-strategy
@@ -46,7 +46,7 @@ static int run_entry(const scenario::CatalogEntry& e, bool smoke) {
               spec.shape == scenario::AttackShape::kNone ? std::size_t{0}
                                                          : spec.zombies);
 
-  scenario::Strategy strat;  // scalar tail comparator (num_shards = 1)
+  scenario::Strategy strat;  // scalar comparator (num_shards = 1)
   const scenario::ScenarioOutcome out = scenario::run_scenario(spec, strat);
   const auto& r = out.result;
   std::printf("  timeline: %zu phases generated, %llu fired\n",
@@ -96,7 +96,7 @@ static int run_detector_battery() {
     spec.detector_min_packets = 150.0;
     spec.name =
         spec.name + (c.latch ? "+detector" : "+detector_unlatched");
-    scenario::Strategy strat;  // scalar tail comparator
+    scenario::Strategy strat;  // scalar comparator (num_shards = 1)
     const scenario::ScenarioOutcome out =
         scenario::run_scenario(spec, strat);
     std::printf("--- %s ---\n", spec.name.c_str());

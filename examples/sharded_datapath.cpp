@@ -1,8 +1,8 @@
-// Sharded datapath: run the same fixed-seed scenario through the scalar
-// engine (num_shards = 1) and the 4-shard ShardedMaficFilter, with burst
-// links feeding the batched inspection path, and show that the
-// classification decisions are identical while the work spreads over the
-// shards.
+// Sharded datapath: run the same fixed-seed scenario through one-engine
+// ATR filters (num_shards = 1) and 4-shard ones, and show that the
+// classification decisions are identical while the work spreads over
+// the shards. The ingress uplinks send bursts, but each filter sits
+// before its uplink queue and inspects one packet at a time.
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build
@@ -20,9 +20,9 @@ int main() {
   base.total_flows = 40;
   base.router_count = 16;
   base.end_time = 8.0;
-  base.link_burst_size = 8;  // departure coalescing on ingress uplinks
+  base.link_burst_size = 8;  // uplink departures coalesce after the filter
 
-  std::printf("MAFIC sharded datapath — Vt=%zu flows, burst=%zu, "
+  std::printf("MAFIC sharded datapath — Vt=%zu flows, uplink burst=%zu, "
               "scalar vs 4 shards, seed=%llu\n\n",
               base.total_flows, base.link_burst_size,
               static_cast<unsigned long long>(base.seed));
@@ -36,24 +36,19 @@ int main() {
     results[i] = exp.run();
     const auto& r = results[i];
 
-    std::size_t max_burst = 0;
-    for (const auto* f : exp.sharded_filters()) {
-      if (f->max_burst_seen() > max_burst) max_burst = f->max_burst_seen();
-    }
     std::printf("  %zu shard(s): %llu admissions -> %llu NFT, %llu PDT "
-                "(+%llu screened); %llu probes; alpha %.2f%%; "
-                "largest burst %zu\n",
+                "(+%llu screened); %llu probes; alpha %.2f%%\n",
                 shard_counts[i],
                 static_cast<unsigned long long>(r.sft_admissions),
                 static_cast<unsigned long long>(r.moved_to_nft),
                 static_cast<unsigned long long>(r.moved_to_pdt),
                 static_cast<unsigned long long>(r.screened_sources),
                 static_cast<unsigned long long>(r.probes_issued),
-                r.metrics.alpha * 100.0, max_burst);
+                r.metrics.alpha * 100.0);
 
     if (shard_counts[i] > 1) {
       // Per-shard share of the classification work on the first ATR.
-      const auto* f = exp.sharded_filters().front();
+      const auto* f = exp.mafic_filters().front();
       std::printf("    first ATR per-shard offered:");
       for (std::size_t s = 0; s < f->num_shards(); ++s) {
         std::printf(" %llu",

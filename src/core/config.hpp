@@ -10,31 +10,18 @@
 
 namespace mafic::core {
 
-/// How the engine draws the Pd coin.
-enum class CoinMode : std::uint8_t {
-  /// One util::Rng stream per engine, drawn in inspection order — the
-  /// paper-faithful i.i.d. coin. The fixed-seed classification goldens
-  /// pin this discipline; it is the default everywhere.
-  kEngineStream,
-  /// Each coin is a stateless hash of (coin_seed, flow key, packet uid):
-  /// still i.i.d. per packet, but a flow's coin sequence no longer
-  /// depends on how other flows interleave or which engine inspects it.
-  /// This is the property the scalar-vs-sharded simulator equivalence
-  /// stands on (a flow's verdicts are identical whether one engine sees
-  /// all flows or its home shard sees only its own), standing in for the
-  /// per-packet header entropy a hardware datapath would hash.
-  kPacketHash,
-};
-
 struct MaficConfig {
   /// Pd — probability of dropping a packet of an untested / suspicious
   /// flow during the probing phase.
   double drop_probability = 0.9;
 
-  /// Pd coin discipline (see CoinMode). kPacketHash additionally mixes in
-  /// `coin_seed`, which must be shared by every engine whose decisions
-  /// are meant to be comparable (all shards of one deployment).
-  CoinMode coin_mode = CoinMode::kEngineStream;
+  /// Seed of the Pd coin. Each coin is a stateless hash of (coin_seed,
+  /// flow key, packet uid): i.i.d. Bernoulli(Pd) per packet, yet a flow's
+  /// coins do not depend on how other flows interleave or which engine
+  /// inspects it, so N shards decide exactly as one engine does. It
+  /// stands in for the per-packet header entropy a hardware datapath
+  /// would hash. Every engine whose decisions are meant to be comparable
+  /// (all shards of one deployment) must share it.
   std::uint64_t coin_seed = 0;
 
   /// The response timer as a multiple of the flow's RTT ("we set the timer

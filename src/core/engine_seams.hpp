@@ -93,7 +93,8 @@ class TimerService {
 ///          synchronously. `flow` is passed by reference and is only
 ///          valid for the duration of the call — copy what you keep.
 ///  * Ordering: implementations that merge several engines onto one
-///    wire (ShardedMaficFilter's per-shard sinks) preserve call order;
+///    wire (MaficFilter's Prober, shared by its shards) preserve call
+///    order;
 ///    the engine in turn requests probes in admission-arrival order
 ///    when driven through span-ordered batches.
 class ProbeSink {

@@ -1,6 +1,7 @@
 #include "core/filter_engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/verdict_pipeline.hpp"
 
@@ -8,15 +9,14 @@ namespace mafic::core {
 
 FilterEngine::FilterEngine(MaficConfig cfg, Clock* clock,
                            TimerService* timers, ProbeSink* probes,
-                           const AddressPolicy* policy, util::Rng rng)
+                           const AddressPolicy* policy)
     : cfg_(cfg),
       clock_(clock),
       timers_(timers),
       probes_(probes),
       tables_(cfg_),
       rtt_(cfg_),
-      policy_(policy),
-      rng_(rng) {
+      policy_(policy) {
   // Probations leaving the SFT without a decision (capacity/quota
   // eviction or flush) must not leave their probe/decision timers armed:
   // the stale callbacks could fire into a *new* probation of the same
@@ -107,18 +107,14 @@ void FilterEngine::deactivate() {
 
 // maficlint: hot
 EngineVerdict FilterEngine::inspect(const sim::Packet& p) {
-  if (!active_) return EngineVerdict::kForward;
-  if (!victims_.contains(p.label.dst)) return EngineVerdict::kForward;
-  if (p.proto == sim::Protocol::kControl) return EngineVerdict::kForward;
+  if (!wants(p)) return EngineVerdict::kForward;
   return inspect_keyed(p, sim::hash_label(p.label));
 }
 
 // maficlint: hot
 EngineVerdict FilterEngine::inspect_hashed(const sim::Packet& p,
                                            std::uint64_t key) {
-  if (!active_) return EngineVerdict::kForward;
-  if (!victims_.contains(p.label.dst)) return EngineVerdict::kForward;
-  if (p.proto == sim::Protocol::kControl) return EngineVerdict::kForward;
+  assert(wants(p));
   return inspect_keyed(p, key);
 }
 
@@ -163,13 +159,6 @@ void FilterEngine::inspect_batch(const sim::Packet* const* pkts,
   inspect_batch_impl(
       [pkts](std::size_t i) -> const sim::Packet& { return *pkts[i]; }, n,
       out);
-}
-
-bool FilterEngine::pd_coin(const sim::Packet& p, std::uint64_t key) {
-  if (cfg_.coin_mode == CoinMode::kPacketHash) {
-    return hash_coin(cfg_, key, p.uid);
-  }
-  return rng_.bernoulli(cfg_.drop_probability);
 }
 
 // maficlint: hot
@@ -217,7 +206,7 @@ EngineVerdict FilterEngine::classify_slow(const sim::Packet& p,
       } else {
         ++e->probe_count;
       }
-      const bool drop_it = cfg_.drop_all_in_sft || pd_coin(p, key);
+      const bool drop_it = cfg_.drop_all_in_sft || coin(p, key);
       if (drop_it) {
         ++stats_.dropped_probation;
         return EngineVerdict::kDropProbation;
@@ -241,7 +230,7 @@ EngineVerdict FilterEngine::classify_slow(const sim::Packet& p,
   }
 
   // "Drop packet with probability Pd"; the drop is what opens probation.
-  if (pd_coin(p, key)) {
+  if (coin(p, key)) {
     admit(p, key);
     ++stats_.dropped_probation;
     return EngineVerdict::kDropProbation;

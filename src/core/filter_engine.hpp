@@ -16,7 +16,7 @@
 ///                    probe and the 2 x RTT response timer
 ///
 /// The engine owns the per-flow state (FlowTables store + arena, RTT
-/// estimator, Pd RNG) and reaches its environment only through the
+/// estimator) and reaches its environment only through the
 /// Clock / TimerService / ProbeSink seams (engine_seams.hpp). One engine
 /// is single-threaded by construction; multi-core deployments run one
 /// engine per shard with flows partitioned by key hash (sharded_filter.hpp)
@@ -28,7 +28,7 @@
 /// per-packet table state into parallel arrays, a table-driven lane
 /// select, and one in-arrival-order verdict walk whose fast lanes
 /// (resident NFT/PDT, live probations) skip the scalar branch ladder.
-/// Decisions, stats, RNG draws and callback order are identical to
+/// Decisions, stats, coins and callback order are identical to
 /// per-packet inspect() calls in the same order: stateful packets fall
 /// back to the scalar tail, and a per-packet epoch check reroutes
 /// anything materialized before a structural table mutation.
@@ -41,9 +41,9 @@
 #include "core/config.hpp"
 #include "core/engine_seams.hpp"
 #include "core/flow_tables.hpp"
+#include "core/pd_coin.hpp"
 #include "core/rtt_estimator.hpp"
 #include "sim/packet.hpp"
-#include "util/rng.hpp"
 
 namespace mafic::core {
 
@@ -93,10 +93,10 @@ class FilterEngine {
   using OfferedCallback = std::function<void(const sim::Packet&)>;
 
   /// All seam pointers are non-owning and must outlive the engine.
-  /// `policy` may be null (no source screening).
+  /// `policy` may be null (no source screening). The Pd coin is seeded by
+  /// cfg.coin_seed (pd_coin.hpp); the engine holds no generator.
   FilterEngine(MaficConfig cfg, Clock* clock, TimerService* timers,
-               ProbeSink* probes, const AddressPolicy* policy,
-               util::Rng rng);
+               ProbeSink* probes, const AddressPolicy* policy);
 
   // Not movable: tables_/rtt_ reference the engine's own cfg_, and the
   // eviction hook captures `this`. Heap-allocate and keep put.
@@ -121,9 +121,10 @@ class FilterEngine {
   // --- datapath --------------------------------------------------------
   EngineVerdict inspect(const sim::Packet& p);
 
-  /// inspect() with the label hash already computed (callers that hashed
-  /// the label to route, e.g. ShardedFilter, avoid hashing twice).
-  /// `key` must equal sim::hash_label(p.label).
+  /// inspect() for a packet the caller has already gated and hashed
+  /// (callers that hashed the label to route, e.g. ShardedFilter, avoid
+  /// gating and hashing twice). Requires wants(p); `key` must equal
+  /// sim::hash_label(p.label).
   EngineVerdict inspect_hashed(const sim::Packet& p, std::uint64_t key);
 
   /// Inspects `n` packets, writing one verdict per packet. Pre-hashes and
@@ -176,7 +177,7 @@ class FilterEngine {
   const VictimSet& victims() const noexcept { return victims_; }
 
  private:
-  /// The staged batch pipeline reaches the engine's tables, stats, RNG
+  /// The staged batch pipeline reaches the engine's tables, stats, coin
   /// and callbacks directly; it lives in its own header so FilterEngine
   /// and ShardedFilter share ONE lane implementation.
   friend class VerdictPipeline;
@@ -195,20 +196,11 @@ class FilterEngine {
   template <typename GetPacket>
   void inspect_batch_impl(GetPacket&& get, std::size_t n,
                           EngineVerdict* out);
-  /// The Pd coin under the configured CoinMode.
-  bool pd_coin(const sim::Packet& p, std::uint64_t key);
-  /// The stateless CoinMode::kPacketHash coin as a pure function — shared
-  /// by pd_coin and the pipeline's branchless pass-3 precompute.
-  static bool hash_coin(const MaficConfig& cfg, std::uint64_t key,
-                        std::uint64_t uid) noexcept {
-    const double pd = cfg.drop_probability;
-    if (pd <= 0.0) return false;
-    if (pd >= 1.0) return true;
-    // Stateless per-packet draw: same (seed, flow, packet) -> same coin,
-    // regardless of which engine inspects it or what interleaves.
-    const std::uint64_t h =
-        util::mix64(cfg.coin_seed ^ key ^ util::mix64(uid));
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < pd;
+  /// This packet's Pd coin (true = drop): a pure function of
+  /// (coin_seed, key, uid), shared by the scalar walk and the pipeline's
+  /// pass-3 precompute.
+  bool coin(const sim::Packet& p, std::uint64_t key) const noexcept {
+    return pd_coin(cfg_.drop_probability, cfg_.coin_seed, key, p.uid);
   }
   /// Resolves a probation according to the two half-window counts.
   TableKind decide(std::uint64_t key);
@@ -224,7 +216,6 @@ class FilterEngine {
   FlowTables tables_;
   RttEstimator rtt_;
   const AddressPolicy* policy_;
-  util::Rng rng_;
 
   bool active_ = false;
   VictimSet victims_;

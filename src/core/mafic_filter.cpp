@@ -4,24 +4,39 @@ namespace mafic::core {
 
 MaficFilter::MaficFilter(sim::Simulator* sim, sim::PacketFactory* factory,
                          sim::Node* atr_node, MaficConfig cfg,
-                         const AddressPolicy* policy, util::Rng rng)
-    : atr_node_(atr_node),
-      clock_(sim),
+                         const AddressPolicy* policy, std::size_t num_shards)
+    : clock_(sim),
       timers_(sim),
       prober_(sim, factory, atr_node, cfg),
-      engine_(cfg, &clock_, &timers_, &prober_, policy, rng) {}
+      sharded_(num_shards, cfg, policy, [this](std::size_t) {
+        return ShardedFilter::ShardSeams{&clock_, &timers_, &prober_};
+      }) {}
 
-sim::NodeId MaficFilter::atr_node_id() const noexcept {
-  return atr_node_->id();
+void MaficFilter::set_offered_callback(
+    const FilterEngine::OfferedCallback& cb) {
+  for (std::size_t i = 0; i < sharded_.shard_count(); ++i) {
+    sharded_.engine(i).set_offered_callback(cb);
+  }
+}
+
+void MaficFilter::set_classification_callback(
+    const FilterEngine::ClassificationCallback& cb) {
+  for (std::size_t i = 0; i < sharded_.shard_count(); ++i) {
+    sharded_.engine(i).set_classification_callback(cb);
+  }
 }
 
 sim::InlineFilter::Decision MaficFilter::inspect(sim::Packet& p) {
-  return to_decision(engine_.inspect(p));
+  return to_decision(sharded_.inspect(p));
 }
 
 void MaficFilter::inspect_burst(sim::PacketPtr* pkts, std::size_t n,
                                 Decision* out) {
-  inspect_burst_via(engine_, pkts, n, batch_ptrs_, batch_verdicts_, out);
+  batch_ptrs_.resize(n);
+  batch_verdicts_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) batch_ptrs_[i] = pkts[i].get();
+  sharded_.inspect_batch(batch_ptrs_.data(), n, batch_verdicts_.data());
+  for (std::size_t i = 0; i < n; ++i) out[i] = to_decision(batch_verdicts_[i]);
 }
 
 }  // namespace mafic::core

@@ -1,95 +1,117 @@
 #pragma once
 
 /// \file mafic_filter.hpp
-/// The MAFIC datapath element inside the discrete-event simulator: a thin
-/// adapter that sits at the head of an ingress SimplexLink of an
-/// Attack-Transit Router and feeds packets to a simulator-agnostic
-/// core::FilterEngine (filter_engine.hpp), which owns the paper's Fig. 2
-/// control flow.
+/// The MAFIC datapath element inside the discrete-event simulator: an
+/// adapter at the head of an ingress SimplexLink of an Attack-Transit
+/// Router — before the link queue, where the paper's ATR drops (sections
+/// III–IV) — that feeds packets to a core::ShardedFilter of `num_shards`
+/// simulator-agnostic FilterEngines (filter_engine.hpp), partitioned by
+/// flow-key hash. One shard is the scalar ATR; N shards model a
+/// multi-core one and decide exactly as one engine does, because every
+/// per-flow quantity (admission times, half-window counts, probe
+/// schedules, Pd coins) depends only on that flow's own packets.
 ///
-/// The adapter contributes exactly the simulator bindings:
+/// The adapter contributes exactly the simulator bindings, shared by
+/// every shard:
 ///   * Clock        -> Simulator::now()
 ///   * TimerService -> Simulator::schedule_timer_at / cancel / reschedule
-///                     (the shared hierarchical wheel)
+///                     (the shared hierarchical wheel; the sim is
+///                     single-threaded, so shards can share it)
 ///   * ProbeSink    -> Prober, which crafts duplicate-ACK packets and
-///                     sends them out of the ATR node
+///                     sends them out of the ATR node. Spans classify in
+///                     arrival order, so every shard schedules its probe
+///                     timers in arrival order on the shared wheel and
+///                     the merged probe stream hits the wire exactly as
+///                     one engine would emit it.
 /// plus the InlineFilter verdict mapping and the DefenseActuator control
-/// surface the pushback coordinator drives. Because the engine makes every
-/// decision (and every RNG draw) itself, the fixed-seed classification
-/// goldens pin the engine through this adapter.
+/// surface the pushback coordinator drives.
+///
+/// Capacity caveat: per-shard tables come from the config verbatim, so N
+/// shards hold N times the flows — keep working sets under the
+/// single-shard bounds when comparing shard counts.
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/actuator.hpp"
 #include "core/address_policy.hpp"
 #include "core/config.hpp"
-#include "core/filter_engine.hpp"
 #include "core/prober.hpp"
+#include "core/sharded_filter.hpp"
 #include "core/sim_seams.hpp"
 #include "sim/connector.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace mafic::core {
 
 class MaficFilter final : public sim::InlineFilter, public DefenseActuator {
  public:
-  using Stats = FilterEngine::Stats;
-  using ClassificationCallback = FilterEngine::ClassificationCallback;
-  using OfferedCallback = FilterEngine::OfferedCallback;
-
+  /// `num_shards` rounds up to a power of two (see
+  /// ShardedFilter::usable_shard_count); 1 is the scalar ATR.
   MaficFilter(sim::Simulator* sim, sim::PacketFactory* factory,
               sim::Node* atr_node, MaficConfig cfg,
-              const AddressPolicy* policy, util::Rng rng);
+              const AddressPolicy* policy, std::size_t num_shards = 1);
 
   // --- DefenseActuator ---
   void activate(const VictimSet& victims) override {
-    engine_.activate(victims);
+    sharded_.activate(victims);
   }
-  void refresh() override { engine_.refresh(); }
-  void deactivate() override { engine_.deactivate(); }
-  /// Weighted per-victim SFT quotas: forwarded to the engine, consumed by
-  /// the next activate().
-  void set_victim_weights(std::vector<std::pair<util::Addr, double>> w) {
-    engine_.set_victim_weights(std::move(w));
+  void refresh() override { sharded_.refresh(); }
+  void deactivate() override { sharded_.deactivate(); }
+  /// Weighted per-victim SFT quotas, fanned out to every shard engine and
+  /// consumed by the next activate().
+  void set_victim_weights(
+      const std::vector<std::pair<util::Addr, double>>& w) {
+    sharded_.set_victim_weights(w);
   }
-  bool active() const noexcept override { return engine_.active(); }
+  bool active() const noexcept override { return sharded_.active(); }
 
-  void set_classification_callback(ClassificationCallback cb) {
-    engine_.set_classification_callback(std::move(cb));
-  }
-  void set_offered_callback(OfferedCallback cb) {
-    engine_.set_offered_callback(std::move(cb));
-  }
+  /// Installs the callback on every shard engine. Callbacks must not
+  /// mutate the filter itself (activate/deactivate) mid-burst.
+  void set_offered_callback(const FilterEngine::OfferedCallback& cb);
+  void set_classification_callback(
+      const FilterEngine::ClassificationCallback& cb);
 
-  /// The underlying decision engine (shared with standalone/sharded
-  /// runtimes; see filter_engine.hpp).
-  FilterEngine& engine() noexcept { return engine_; }
-  const FilterEngine& engine() const noexcept { return engine_; }
-
-  const MaficConfig& config() const noexcept { return engine_.config(); }
-  const FlowTables& tables() const noexcept { return engine_.tables(); }
-  const RttEstimator& rtt_estimator() const noexcept {
-    return engine_.rtt_estimator();
+  std::size_t num_shards() const noexcept { return sharded_.shard_count(); }
+  const ShardedFilter& sharded() const noexcept { return sharded_; }
+  const FilterEngine& engine(std::size_t i) const noexcept {
+    return sharded_.engine(i);
   }
   const Prober& prober() const noexcept { return prober_; }
-  const Stats& stats() const noexcept { return engine_.stats(); }
-  sim::NodeId atr_node_id() const noexcept;
+
+  /// Engine stats summed across shards.
+  FilterEngine::Stats stats() const { return sharded_.aggregate_stats(); }
+  /// Flow-table stats summed across shards.
+  FlowTables::Stats tables_stats() const {
+    return sharded_.aggregate_tables_stats();
+  }
+  /// Per-victim decision tally for `victim`, summed across shards.
+  FilterEngine::VictimStats victim_stats_for(util::Addr victim) const {
+    return sharded_.victim_stats_for(victim);
+  }
+  /// Probe requests shard `i`'s engine issued.
+  std::uint64_t shard_probes(std::size_t i) const noexcept {
+    return sharded_.engine(i).stats().probes_issued;
+  }
 
  protected:
   Decision inspect(sim::Packet& p) override;
-  /// Bursts route through the engine's batched (pre-hash + prefetch)
-  /// inspection; verdict-identical to per-packet inspect().
+  /// Bursts run ShardedFilter::inspect_batch (one partition pass,
+  /// windowed prefetch, arrival-order classification); verdict-identical
+  /// to per-packet inspect().
   void inspect_burst(sim::PacketPtr* pkts, std::size_t n,
                      Decision* out) override;
 
  private:
-  sim::Node* atr_node_;
   SimClock clock_;
   SimTimerService timers_;
   Prober prober_;
-  FilterEngine engine_;
-  std::vector<const sim::Packet*> batch_ptrs_;     ///< burst scratch
-  std::vector<EngineVerdict> batch_verdicts_;      ///< burst scratch
+  ShardedFilter sharded_;
+  // inspect_burst scratch (reused; steady state allocates nothing).
+  std::vector<const sim::Packet*> batch_ptrs_;
+  std::vector<EngineVerdict> batch_verdicts_;
 };
 
 }  // namespace mafic::core

@@ -11,8 +11,9 @@
 ///
 /// Prober is the simulator-side ProbeSink implementation (engine_seams.hpp):
 /// the FilterEngine asks for a probe through the seam, and this class puts
-/// real packets on the ATR's wire. Holds its config by value so it has no
-/// lifetime tie to the engine that drives it.
+/// real packets on the ATR's wire. Copies the three probe settings it needs
+/// so it has no lifetime tie to the engine that drives it (and every ATR
+/// filter does not carry a second full MaficConfig).
 
 #include <cstdint>
 
@@ -28,7 +29,12 @@ class Prober final : public ProbeSink {
  public:
   Prober(sim::Simulator* sim, sim::PacketFactory* factory, sim::Node* atr,
          const MaficConfig& cfg)
-      : sim_(sim), factory_(factory), atr_(atr), cfg_(cfg) {}
+      : sim_(sim),
+        factory_(factory),
+        atr_(atr),
+        spacing_s_(cfg.probe_spacing_s),
+        dup_acks_(cfg.probe_dup_acks),
+        ack_bytes_(cfg.probe_ack_bytes) {}
 
   /// Emits cfg.probe_dup_acks duplicate ACKs toward flow.src, spaced
   /// cfg.probe_spacing_s apart.
@@ -46,7 +52,9 @@ class Prober final : public ProbeSink {
   sim::Simulator* sim_;
   sim::PacketFactory* factory_;
   sim::Node* atr_;
-  MaficConfig cfg_;
+  double spacing_s_;
+  std::uint32_t dup_acks_;
+  std::uint32_t ack_bytes_;
   std::uint64_t probes_ = 0;
   std::uint64_t packets_ = 0;
 };

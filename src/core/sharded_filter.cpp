@@ -21,8 +21,7 @@ Partition partition_for(std::size_t shard_count) {
 }  // namespace
 
 ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                             const AddressPolicy* policy,
-                             std::uint64_t seed) {
+                             const AddressPolicy* policy) {
   shard_count = usable_shard_count(shard_count);
   const Partition part = partition_for(shard_count);
   shard_bits_ = part.bits;
@@ -30,14 +29,13 @@ ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
   runtimes_.reserve(shard_count);
   engines_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    runtimes_.push_back(std::make_unique<EngineRuntime>(
-        cfg, policy, util::Rng(shard_seed(seed, i))));
+    runtimes_.push_back(std::make_unique<EngineRuntime>(cfg, policy));
     engines_.push_back(&runtimes_.back()->engine());
   }
 }
 
 ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                             const AddressPolicy* policy, std::uint64_t seed,
+                             const AddressPolicy* policy,
                              const SeamProvider& seams) {
   shard_count = usable_shard_count(shard_count);
   const Partition part = partition_for(shard_count);
@@ -49,8 +47,7 @@ ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
     const ShardSeams s = seams(i);
     assert(s.clock != nullptr && s.timers != nullptr && s.probes != nullptr);
     owned_engines_.push_back(std::make_unique<FilterEngine>(
-        cfg, s.clock, s.timers, s.probes, policy,
-        util::Rng(shard_seed(seed, i))));
+        cfg, s.clock, s.timers, s.probes, policy));
     engines_.push_back(owned_engines_.back().get());
   }
 }
@@ -73,13 +70,7 @@ void ShardedFilter::deactivate() {
 }
 
 bool ShardedFilter::active() const noexcept {
-  return !engines_.empty() && engines_.front()->active();
-}
-
-EngineVerdict ShardedFilter::inspect(const sim::Packet& p) {
-  // Hash once: the routing key doubles as the table key.
-  const std::uint64_t key = sim::hash_label(p.label);
-  return engines_[shard_of(key)]->inspect_hashed(p, key);
+  return engines_.front()->active();
 }
 
 // maficlint: hot

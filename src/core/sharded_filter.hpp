@@ -5,16 +5,17 @@
 ///
 /// Shard-partition invariant: flow key `k` lives on shard
 /// `shard_of(k) = top log2(N) bits of k`, and ONLY that shard ever touches
-/// `k`'s table entry, probation timers or RNG. Each shard is a complete
-/// EngineRuntime (flat store + arena, timer wheel, clock, RNG, probe
-/// counter) with zero shared mutable state, so a driver may run one thread
-/// per shard with no locks: equivalence with a single engine is structural,
+/// `k`'s table entry or probation timers. Each shard is a complete
+/// EngineRuntime (flat store + arena, timer wheel, clock, probe counter)
+/// with zero shared mutable state, so a driver may run one thread per
+/// shard with no locks: equivalence with a single engine is structural,
 /// not synchronized (test_core_sharded_filter pins it; the TSan CI job
 /// watches the threaded bench driver).
 ///
-/// Per-shard RNG streams derive deterministically from one base seed
-/// (shard_seed), so a single-shard engine fed shard i's substream with
-/// shard_seed(seed, i) reproduces shard i's decisions bit-for-bit.
+/// Every shard draws its Pd coins from the same stateless hash of
+/// (cfg.coin_seed, flow key, packet uid) (pd_coin.hpp), so a single
+/// engine fed shard i's substream with the same config reproduces shard
+/// i's decisions bit-for-bit, and one shard decides exactly as N do.
 ///
 /// The ShardedFilter itself spawns no threads: it is the passive state +
 /// routing layer. Drivers (bench_flow_store_scale's multi-threaded
@@ -27,8 +28,8 @@
 ///    and the owner drives time with advance_until().
 ///  * external seams (SeamProvider constructor): the embedding runtime
 ///    supplies each shard's Clock/TimerService/ProbeSink — how the
-///    discrete-event adapter (ShardedMaficFilter) mounts the shards on
-///    the simulator's clock, shared wheel and a real Prober. In this mode
+///    discrete-event adapter (MaficFilter) mounts the shards on the
+///    simulator's clock, shared wheel and a real Prober. In this mode
 ///    the environment drives time; advance_until() must not be called.
 
 #include <bit>
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "core/standalone_runtime.hpp"
-#include "util/hash.hpp"
 
 namespace mafic::core {
 
@@ -68,20 +68,12 @@ class ShardedFilter {
   /// hold N times the flows of one engine, mirroring per-core table
   /// memory.
   ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                const AddressPolicy* policy, std::uint64_t seed);
+                const AddressPolicy* policy);
 
   /// External-seams mode: engines bind to the provided environment
   /// instead of private EngineRuntimes.
   ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                const AddressPolicy* policy, std::uint64_t seed,
-                const SeamProvider& seams);
-
-  /// Deterministic per-shard RNG seed derivation; exposed so equivalence
-  /// tests can rebuild shard i's stream in a standalone engine.
-  static std::uint64_t shard_seed(std::uint64_t base_seed,
-                                  std::size_t shard) noexcept {
-    return util::mix64(base_seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));
-  }
+                const AddressPolicy* policy, const SeamProvider& seams);
 
   std::size_t shard_count() const noexcept { return engines_.size(); }
 
@@ -121,10 +113,17 @@ class ShardedFilter {
   void deactivate();
   bool active() const noexcept;
 
-  /// Routes one packet to its home shard (convenience / equivalence
-  /// tests; the fast path is per-shard inspect_batch on partitioned
-  /// bursts).
-  EngineVerdict inspect(const sim::Packet& p);
+  /// Routes one packet to its home shard: gates first (cold packets
+  /// forward without hashing, as in partition_span — every shard shares
+  /// the activation state and victim set, so the first engine decides for
+  /// all), then hashes once: the routing key doubles as the table key.
+  /// The sim adapter's per-packet path.
+  // maficlint: hot
+  EngineVerdict inspect(const sim::Packet& p) {
+    if (!engines_.front()->wants(p)) return EngineVerdict::kForward;
+    const std::uint64_t key = sim::hash_label(p.label);
+    return engines_[shard_of(key)]->inspect_hashed(p, key);
+  }
 
   /// Batch-inspects an indirect span (what a simulator burst delivers)
   /// in ARRIVAL order: runs partition_span, prefetches each hot key's

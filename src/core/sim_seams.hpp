@@ -2,13 +2,12 @@
 
 /// \file sim_seams.hpp
 /// Discrete-event-simulator implementations of the engine seams
-/// (engine_seams.hpp), shared by the scalar adapter (MaficFilter) and the
-/// sharded adapter (ShardedMaficFilter):
+/// (engine_seams.hpp), used by the sim adapter (MaficFilter):
 ///   SimClock        -> Simulator::now()
 ///   SimTimerService -> the simulator's shared hierarchical timer wheel
 /// The ProbeSink binding is Prober (prober.hpp), which puts real packets
-/// on the ATR's wire. Also home to the shared EngineVerdict ->
-/// InlineFilter::Decision mapping so the two adapters cannot drift.
+/// on the ATR's wire. Also home to the EngineVerdict ->
+/// InlineFilter::Decision mapping.
 
 #include "core/engine_seams.hpp"
 #include "core/filter_engine.hpp"
@@ -17,9 +16,8 @@
 
 namespace mafic::core {
 
-/// Maps an engine verdict onto the sim datapath's drop vocabulary; both
-/// sim adapters use this one mapping so ledger drop accounting can never
-/// diverge between the scalar and sharded paths.
+/// Maps an engine verdict onto the sim datapath's drop vocabulary (the
+/// ledger's defense drop reasons).
 inline sim::InlineFilter::Decision to_decision(EngineVerdict v) noexcept {
   switch (v) {
     case EngineVerdict::kForward:
@@ -31,25 +29,6 @@ inline sim::InlineFilter::Decision to_decision(EngineVerdict v) noexcept {
       return sim::InlineFilter::Decision::drop(sim::DropReason::kDefensePdt);
   }
   return sim::InlineFilter::Decision::forward();
-}
-
-/// Stages a burst span for an indirect inspect_batch and translates the
-/// verdicts into datapath decisions — the shared body of both adapters'
-/// inspect_burst. `batch` is a FilterEngine or a ShardedFilter (both
-/// expose inspect_batch(const Packet* const*, n, out)); `ptrs` and
-/// `verdicts` are caller-owned scratch, reused across bursts so steady
-/// state allocates nothing.
-template <typename Batch>
-inline void inspect_burst_via(Batch& batch, sim::PacketPtr* pkts,
-                              std::size_t n,
-                              std::vector<const sim::Packet*>& ptrs,
-                              std::vector<EngineVerdict>& verdicts,
-                              sim::InlineFilter::Decision* out) {
-  ptrs.resize(n);
-  verdicts.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ptrs[i] = pkts[i].get();
-  batch.inspect_batch(ptrs.data(), n, verdicts.data());
-  for (std::size_t i = 0; i < n; ++i) out[i] = to_decision(verdicts[i]);
 }
 
 /// Clock seam over the simulation clock.

@@ -20,8 +20,9 @@
 ///   3. lane      — a table-driven lane select per packet: terminal kinds
 ///                  map through a 4-entry LUT, the two timestamp tests
 ///                  (NFT expiry, SFT deadline) demote to the slow lane via
-///                  conditional moves, and the packet-hash Pd coin is
-///                  evaluated branchlessly for live probations;
+///                  conditional moves, and the Pd coin (a pure function
+///                  of seed, key and uid) is evaluated for live
+///                  probations;
 ///   4. verdict   — one in-arrival-order walk applying side effects
 ///                  (offered stats/callback, RTT observe, SFT half-window
 ///                  counts, coin, verdict write). Fast lanes touch no
@@ -33,19 +34,15 @@
 /// Bit-identity to per-packet inspect() is preserved by construction:
 ///
 ///  * Passes 2–3 only read; every side effect (stats, callbacks, RTT,
-///    counts, RNG draws, admissions) happens in pass 4 in arrival order,
-///    exactly where the scalar walk performs it.
+///    counts, admissions) happens in pass 4 in arrival order, exactly
+///    where the scalar walk performs it. The coin has no state to
+///    advance, so precomputing it in pass 3 cannot reorder anything.
 ///  * The materialized window is speculation against table state at the
 ///    window start. FlowTables::epoch() counts every structural mutation;
 ///    pass 4 re-checks it per packet and reroutes the packet through the
 ///    scalar tail the moment an earlier packet in the window (an
 ///    admission, a lazy NFT expiry, an eviction, a decide) moved the
 ///    epoch — stale lanes and stale arena slots are never consumed.
-///  * CoinMode::kEngineStream draws happen inline in pass 4, in arrival
-///    order, under exactly the scalar short-circuit (no draw when
-///    drop_all_in_sft, no draw for Pd outside (0,1)), so the engine RNG
-///    stream stays bit-identical. CoinMode::kPacketHash coins are pure
-///    per-packet functions and precompute in pass 3.
 ///  * The engine clock is sampled once per batch. Every driver in the
 ///    repo advances time only BETWEEN batches (ManualClock via
 ///    advance_until, the simulator between events), so per-packet
@@ -127,7 +124,7 @@ class VerdictPipeline {
       lane[j] = kLaneHot;  // resolved in pass 3
     }
 
-    // --- pass 3: table-driven lane select + branchless hash coin -------
+    // --- pass 3: table-driven lane select + Pd coin ---------------------
     // TableKind {kNone, kSuspicious, kNice, kPermanentDrop} maps straight
     // to a lane; the two timestamp tests demote to the slow lane as
     // conditional moves. kNone (admission path), expired NFT entries and
@@ -144,12 +141,7 @@ class VerdictPipeline {
       } else if (ln == kLaneSft) {
         const SftEntry& se = e.tables_.sft_at(pk[j].sft_slot);
         ln = now >= se.deadline ? kLaneSlow : kLaneSft;
-        if (ln == kLaneSft && e.cfg_.coin_mode == CoinMode::kPacketHash) {
-          coin[j] = FilterEngine::hash_coin(e.cfg_, keys[j],
-                                            packet_at(j).uid)
-                        ? 1
-                        : 0;
-        }
+        if (ln == kLaneSft) coin[j] = e.coin(packet_at(j), keys[j]) ? 1 : 0;
       }
       lane[j] = ln;
     }
@@ -195,17 +187,7 @@ class VerdictPipeline {
           const bool in_probe_half = now >= se.split_time;
           se.baseline_count += in_probe_half ? 0u : 1u;
           se.probe_count += in_probe_half ? 1u : 0u;
-          bool drop;
-          if (e.cfg_.coin_mode == CoinMode::kPacketHash) {
-            drop = e.cfg_.drop_all_in_sft || coin[j] != 0;
-          } else {
-            // Stream mode: the draw happens HERE, in arrival order, under
-            // the scalar short-circuit (bernoulli itself consumes a draw
-            // only for Pd inside (0,1)).
-            drop = e.cfg_.drop_all_in_sft ||
-                   e.rng_.bernoulli(e.cfg_.drop_probability);
-          }
-          if (drop) {
+          if (e.cfg_.drop_all_in_sft || coin[j] != 0) {
             ++e.stats_.dropped_probation;
             out[j] = EngineVerdict::kDropProbation;
           } else {

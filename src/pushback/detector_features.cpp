@@ -18,19 +18,8 @@ DetectorFeaturePipeline::RouterState& DetectorFeaturePipeline::router_state(
 
 void DetectorFeaturePipeline::step_rule(RouterState& rs, double d) const {
   ++rs.epochs_seen;
-  if (!rs.alarming) {
-    const double base = rs.baseline.initialized()
-                            ? rs.baseline.value()
-                            : d;  // first epoch: self-baseline
-    const bool warm = rs.epochs_seen > cfg_.warmup_epochs;
-    const bool high = d > std::max(cfg_.min_packets_per_epoch,
-                                   cfg_.trigger_factor * base) &&
-                      rs.baseline.initialized();
-    if (warm && high) {
-      rs.alarming = true;
-      return;  // baseline frozen while alarming
-    }
-    rs.baseline.update(d);
+  if (!rs.baseline.initialized() || rs.epochs_seen <= cfg_.warmup_epochs) {
+    rs.baseline.update(d);  // warmup learns every epoch (the first seeds it)
     return;
   }
   // Clear hysteresis honours the same absolute floor the trigger applies:
@@ -41,10 +30,26 @@ void DetectorFeaturePipeline::step_rule(RouterState& rs, double d) const {
   const double clear_below =
       std::max(cfg_.clear_factor * std::max(rs.baseline.value(), 1.0),
                cfg_.min_packets_per_epoch);
-  if (d < clear_below) {
-    rs.alarming = false;
-    rs.baseline.update(d);
+  if (rs.alarming) {
+    if (d < clear_below) {
+      rs.alarming = false;
+      rs.baseline.update(d);
+    }
+    return;  // baseline frozen while alarming
   }
+  if (d > std::max(cfg_.min_packets_per_epoch,
+                   cfg_.trigger_factor * rs.baseline.value())) {
+    rs.alarming = true;
+    rs.has_pending = false;  // may be the attack's ramp: never learn it
+    return;
+  }
+  // Not alarming. An epoch under the clear threshold waits for the next
+  // one: learned if that one is under it too, dropped otherwise. An epoch
+  // over it is never learned.
+  const bool calm = d < clear_below;
+  if (calm && rs.has_pending) rs.baseline.update(rs.pending);
+  rs.pending = d;
+  rs.has_pending = calm;
 }
 
 std::vector<VictimDecision> DetectorFeaturePipeline::step(

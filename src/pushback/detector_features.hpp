@@ -12,11 +12,19 @@
 /// warmup, the victim's last-hop router alarms when its egress
 /// cardinality |Dj| exceeds both an absolute floor and a multiple of its
 /// EWMA baseline, and clears when |Dj| drops below the clear threshold
-/// (which honours the same floor). The baseline freezes while the router
-/// alarms so the attack does not poison it. EWMA state is kept only for
-/// protected last-hop routers — victims behind the same router share it
-/// — and starts at the first epoch that router is protected. The other
-/// features ship in the vector for reporting; they never raise an alarm.
+/// (which honours the same floor). Warmup epochs are all learned. After
+/// warmup the EWMA baseline learns only calm epochs — under the clear
+/// threshold — and a calm epoch only once the next epoch is calm too.
+/// So the attack does not poison it: the baseline freezes while the
+/// router alarms, skips every epoch of a ramp or sub-trigger plateau that
+/// sits over the clear threshold, and drops the calm epoch just before
+/// one (zombies starting staggered lift |Dj| over several epochs, each
+/// under the trigger). A ramp slow enough that every epoch stays under
+/// the clear threshold is still learned as growth. EWMA state is kept
+/// only for protected last-hop routers — victims behind the same router
+/// share it — and starts at the first epoch that router is protected.
+/// The other features ship in the vector for reporting; they never raise
+/// an alarm.
 ///
 /// Everything here is a pure function of the snapshot plus the
 /// pipeline's own state: no live datapath access.
@@ -94,6 +102,10 @@ class DetectorFeaturePipeline {
     util::Ewma baseline;
     int epochs_seen = 0;
     bool alarming = false;
+    /// The last calm epoch's |Dj|, learned once the next epoch is calm
+    /// too, dropped otherwise.
+    double pending = 0.0;
+    bool has_pending = false;
     std::uint64_t stepped_epoch = 0;  ///< last epoch the rule ran
   };
 

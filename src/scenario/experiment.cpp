@@ -1,6 +1,7 @@
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -55,15 +56,17 @@ Experiment::Experiment(ExperimentConfig cfg)
     throw std::invalid_argument(
         "pushback.control_delay must be >= 0 and < epoch_seconds");
   }
+  // The shard partition is a bit slice; anything else would be silently
+  // rounded to another count.
+  if (!std::has_single_bit(cfg_.num_shards)) {
+    throw std::invalid_argument("num_shards must be a power of two >= 1");
+  }
   cfg_.mafic.drop_probability = cfg_.drop_probability;
   cfg_.mafic.sft_victim_quota = cfg_.sft_victim_quota;
-  if (cfg_.num_shards > 0) {
-    // The sharded adapter's scalar-vs-sharded equivalence needs
-    // interleaving-independent Pd coins; seed them from the experiment
-    // seed so only num_shards may differ between compared runs.
-    cfg_.mafic.coin_mode = core::CoinMode::kPacketHash;
-    cfg_.mafic.coin_seed = util::mix64(cfg_.seed ^ 0xc0115eedULL);
-  }
+  // One Pd coin seed per run, from the experiment seed alone: every MAFIC
+  // filter and the proportional dropper share it, and runs that differ
+  // only in num_shards draw identical coins.
+  cfg_.mafic.coin_seed = util::mix64(cfg_.seed ^ 0xc0115eedULL);
 }
 
 Experiment::~Experiment() = default;
@@ -350,24 +353,10 @@ void Experiment::build_defense() {
     sim::Node* atr = net_->node(access.router);
     switch (cfg_.defense) {
       case DefenseKind::kMafic: {
-        if (cfg_.num_shards > 0) {
-          // Sharded datapath: the filter sits at the receiving end of
-          // the uplink, where burst mode delivers coalesced spans.
-          auto filter = std::make_unique<core::ShardedMaficFilter>(
-              &sim_, &factory_, atr, cfg_.num_shards, cfg_.mafic,
-              policy_.get(), /*seed=*/rng_.next());
-          filter->set_offered_callback([this](const sim::Packet& p) {
-            ledger_.on_defense_offered(p, sim_.now());
-          });
-          core::ShardedMaficFilter* raw = filter.get();
-          if (!quota_weights.empty()) raw->set_victim_weights(quota_weights);
-          access.uplink->add_tail_tap(std::move(filter));
-          sharded_filters_.push_back(raw);
-          coordinator_->register_actuator(access.router, raw);
-          break;
-        }
+        // Before the uplink queue, where the paper's ATR drops.
         auto filter = std::make_unique<core::MaficFilter>(
-            &sim_, &factory_, atr, cfg_.mafic, policy_.get(), rng_.split());
+            &sim_, &factory_, atr, cfg_.mafic, policy_.get(),
+            cfg_.num_shards);
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
@@ -380,7 +369,7 @@ void Experiment::build_defense() {
       }
       case DefenseKind::kProportional: {
         auto filter = std::make_unique<baseline::ProportionalDropper>(
-            cfg_.drop_probability, rng_.split());
+            cfg_.drop_probability, cfg_.mafic.coin_seed);
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
@@ -408,16 +397,6 @@ VictimBreakdown Experiment::victim_breakdown(util::Addr victim) const {
   VictimBreakdown b;
   b.victim = victim;
   for (const auto* f : mafic_filters_) {
-    const auto& per = f->engine().victim_stats();
-    const auto it = per.find(victim);
-    if (it == per.end()) continue;
-    b.decided_nice += it->second.decided_nice;
-    b.decided_malicious += it->second.decided_malicious;
-    b.screened_sources += it->second.screened_sources;
-    b.evictions += it->second.evictions;
-    b.quota_evictions += it->second.quota_evictions;
-  }
-  for (const auto* f : sharded_filters_) {
     const auto vs = f->victim_stats_for(victim);
     b.decided_nice += vs.decided_nice;
     b.decided_malicious += vs.decided_malicious;
@@ -478,16 +457,6 @@ ExperimentResult Experiment::snapshot_result() const {
   r.events_processed = sim_.events_processed();
 
   for (const auto* f : mafic_filters_) {
-    const auto& ts = f->tables().stats();
-    r.sft_admissions += ts.sft_admissions;
-    r.sft_evictions += ts.sft_evictions;
-    r.quota_evictions += ts.quota_evictions;
-    r.moved_to_nft += ts.moved_to_nft;
-    r.moved_to_pdt += ts.moved_to_pdt;
-    r.screened_sources += f->stats().screened_sources;
-    r.probes_issued += f->stats().probes_issued;
-  }
-  for (const auto* f : sharded_filters_) {
     const auto ts = f->tables_stats();
     r.sft_admissions += ts.sft_admissions;
     r.sft_evictions += ts.sft_evictions;

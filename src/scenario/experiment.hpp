@@ -36,7 +36,6 @@
 #include "baseline/proportional_dropper.hpp"
 #include "core/address_policy.hpp"
 #include "core/mafic_filter.hpp"
-#include "core/sharded_mafic_filter.hpp"
 #include "metrics/ledger.hpp"
 #include "metrics/report.hpp"
 #include "pushback/control_plane.hpp"
@@ -161,24 +160,23 @@ struct ExperimentConfig {
   /// entries weigh 1.0, extra entries are ignored). Empty = equal split.
   std::vector<double> sft_victim_weights;
 
-  /// Sharded ATR datapath. 0 (default) = the scalar MaficFilter at the
-  /// head of each ingress uplink — the legacy, golden-pinned path.
-  /// >= 1 (power of two) = a ShardedMaficFilter with this many engine
-  /// shards at the RECEIVING end of each ingress uplink, fed link bursts
-  /// through ShardedFilter::inspect_batch. Forces
-  /// MaficConfig::coin_mode = kPacketHash (seeded from `seed`) so runs
-  /// that differ only in num_shards make identical per-flow
-  /// classification decisions — num_shards = 1 is the scalar comparator.
-  std::size_t num_shards = 0;
+  /// Engine shards per ATR filter (core::MaficFilter, at the head of each
+  /// ingress uplink). 1 (default) is the scalar ATR; a larger power of
+  /// two models a multi-core one. The Pd coin seed derives from `seed`
+  /// alone, so runs that differ only in num_shards make identical
+  /// per-flow classification decisions. The Experiment constructor
+  /// throws std::invalid_argument unless this is a power of two >= 1.
+  std::size_t num_shards = 1;
 
   /// Departure coalescing on ingress access uplinks
   /// (DomainConfig::access_uplink_burst_packets): back-to-back departures
-  /// reach the ATR as one span of up to this many packets, which is what
-  /// drives the batched inspection path. 1 = per-packet delivery.
+  /// reach the ATR router as one span of up to this many packets. The
+  /// MAFIC filter sits before the uplink queue, so it still sees one
+  /// packet at a time. 1 = per-packet delivery.
   std::size_t link_burst_size = 1;
 
   // --- pushback substrate ----------------------------------------------------
-  /// The Experiment constructor throws std::invalid_argument unless
+  /// The Experiment constructor also throws std::invalid_argument unless
   /// epoch_seconds > 0, pushback.refresh_interval > 0 and
   /// 0 <= pushback.control_delay < epoch_seconds (an apply event must
   /// land before the next epoch's decisions).
@@ -281,13 +279,9 @@ class Experiment {
   pushback::ControlPlane* control_plane() noexcept {
     return control_plane_.get();
   }
+  /// One filter per ingress uplink (non-empty iff defense == kMafic).
   const std::vector<core::MaficFilter*>& mafic_filters() const noexcept {
     return mafic_filters_;
-  }
-  /// Sharded-datapath filters (non-empty iff cfg.num_shards > 0).
-  const std::vector<core::ShardedMaficFilter*>& sharded_filters()
-      const noexcept {
-    return sharded_filters_;
   }
   const std::vector<transport::TcpSender*>& tcp_senders() const noexcept {
     return tcp_sender_ptrs_;
@@ -345,7 +339,6 @@ class Experiment {
 
   // Filters are owned by their links; we keep handles.
   std::vector<core::MaficFilter*> mafic_filters_;
-  std::vector<core::ShardedMaficFilter*> sharded_filters_;
 
   // Router each zombie sits behind (ground truth for diagnostics).
   std::vector<sim::NodeId> zombie_routers_;

@@ -33,8 +33,6 @@ std::vector<Strategy> equivalence_strategies() {
   };
 }
 
-Strategy head_strategy() { return {"head", 0, 1}; }
-
 ExperimentConfig compile(const ScenarioSpec& spec) {
   const std::size_t zombies =
       spec.shape == AttackShape::kNone

@@ -18,9 +18,9 @@
 /// spawning, start/stop alternation, carpet sweeps covering every victim
 /// exactly once per sweep).
 ///
-/// run_scenario() executes one spec under one datapath Strategy (scalar
-/// head filter, one-shard tail filter, four-shard tail filter) and
-/// fingerprints the integer decision statistics, which is what the
+/// run_scenario() executes one spec under one datapath Strategy (one or
+/// four engine shards per ATR filter) and fingerprints the integer
+/// decision statistics, which is what the
 /// cross-strategy differential battery (test_scenario_catalog.cpp)
 /// compares bit-for-bit. The named catalog lives in scenario_catalog.hpp.
 
@@ -112,12 +112,10 @@ struct TimelineEvent {
 
 using Timeline = std::vector<TimelineEvent>;
 
-/// One datapath configuration the battery runs every scenario through.
-/// num_shards 0 = the legacy scalar filter at the uplink HEAD (drops
-/// before the queue, so its packet interleaving legitimately differs —
-/// it is smoke-checked, not bit-compared); num_shards >= 1 mounts the
-/// sharded engine at the uplink tail, where 1 is the scalar comparator
-/// of the PR 3 equivalence contract.
+/// One datapath configuration the battery runs every scenario through:
+/// the engine shards per ATR filter (1 = the scalar ATR) and the access
+/// uplinks' departure coalescing. The filter always sits at the uplink
+/// head, before the queue.
 struct Strategy {
   const char* label = "scalar";
   std::size_t num_shards = 1;
@@ -127,11 +125,9 @@ struct Strategy {
 /// The two bit-comparable strategies of the differential battery:
 /// scalar (1 shard) and sharded (4 shards). Both share the same link
 /// burst size, so the packet arrival order — and therefore every
-/// per-flow decision — must match exactly.
+/// per-flow decision — must match exactly. The bursts form after the
+/// filter, at the uplink transmitter; the filter sees single packets.
 std::vector<Strategy> equivalence_strategies();
-
-/// The legacy head-filter strategy (per-packet, pre-queue drops).
-Strategy head_strategy();
 
 /// Compiles the declarative spec into a runnable ExperimentConfig
 /// (topology, flow counts, defense, timing). Pure and deterministic; does

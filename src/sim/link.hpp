@@ -102,8 +102,7 @@ class SimplexLink {
   /// before delivery to the endpoint: it sees what actually crossed the
   /// link, including whole bursts in burst mode. An InlineFilter here is
   /// the receiving-side filtering point (location = to(), wired to the
-  /// drop handler) — where a batch-consuming ATR filter sits. Ownership
-  /// transfers to the link.
+  /// drop handler). Ownership transfers to the link.
   void add_tail_tap(std::unique_ptr<Connector> c);
 
   /// Installs the drop handler on the queue (and remembers it so future

@@ -24,7 +24,7 @@ constexpr util::Addr kVictim = util::make_addr(172, 17, 0, 1);
 constexpr util::Addr kOther = util::make_addr(172, 17, 0, 2);
 
 TEST(ProportionalDropper, InactiveForwardsAll) {
-  ProportionalDropper d(0.9, util::Rng(1));
+  ProportionalDropper d(0.9, 1);
   int forwarded = 0;
   class Count final : public sim::Connector {
    public:
@@ -38,39 +38,30 @@ TEST(ProportionalDropper, InactiveForwardsAll) {
   EXPECT_EQ(d.stats().offered, 0u);
 }
 
-TEST(ProportionalDropper, DropsAtConfiguredProbability) {
-  ProportionalDropper d(0.7, util::Rng(3));
-  d.activate({kVictim});
-  int drops = 0;
-  d.set_drop_handler([&](const sim::Packet&, sim::DropReason r,
-                         sim::NodeId) {
-    EXPECT_EQ(r, sim::DropReason::kDefenseBaseline);
-    ++drops;
-  });
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) d.recv(victim_packet(kVictim));
-  EXPECT_NEAR(double(drops) / n, 0.7, 0.02);
-  EXPECT_EQ(d.stats().offered, std::uint64_t(n));
-  EXPECT_EQ(d.stats().dropped + d.stats().forwarded, std::uint64_t(n));
-}
-
 TEST(ProportionalDropper, FlowBlindness) {
   // The defining weakness vs MAFIC: it keeps dropping forever, from every
   // flow alike, with no classification.
-  ProportionalDropper d(0.9, util::Rng(3));
+  ProportionalDropper d(0.9, 3);
   d.activate({kVictim});
   int drops = 0;
   d.set_drop_handler(
       [&](const sim::Packet&, sim::DropReason, sim::NodeId) { ++drops; });
-  for (int i = 0; i < 1000; ++i) d.recv(victim_packet(kVictim));
+  // Distinct uids, as a PacketFactory hands out: the coin is per packet.
+  std::uint64_t uid = 0;
+  const auto next = [&] {
+    auto p = victim_packet(kVictim);
+    p->uid = ++uid;
+    return p;
+  };
+  for (int i = 0; i < 1000; ++i) d.recv(next());
   const int early = drops;
-  for (int i = 0; i < 1000; ++i) d.recv(victim_packet(kVictim));
+  for (int i = 0; i < 1000; ++i) d.recv(next());
   // Still dropping at the same rate much later.
   EXPECT_NEAR(double(drops - early), double(early), 100.0);
 }
 
 TEST(ProportionalDropper, OtherDestinationsUntouched) {
-  ProportionalDropper d(0.9, util::Rng(3));
+  ProportionalDropper d(0.9, 3);
   d.activate({kVictim});
   int drops = 0;
   d.set_drop_handler(
@@ -81,7 +72,7 @@ TEST(ProportionalDropper, OtherDestinationsUntouched) {
 }
 
 TEST(ProportionalDropper, DeactivateStopsDropping) {
-  ProportionalDropper d(0.9, util::Rng(3));
+  ProportionalDropper d(0.9, 3);
   d.activate({kVictim});
   d.deactivate();
   int drops = 0;
@@ -131,13 +122,12 @@ std::vector<sim::PacketPtr> coin_workload(bool reversed = false) {
 }
 
 TEST(ProportionalDropper, PacketHashCoinIsOrderAndBatchInvariant) {
-  // The stateless coin (the kPacketHash shape FilterEngine uses) must
-  // give each packet the same fate through per-packet recv, through
-  // burst spans, and in reversed inspection order — none of which holds
-  // for the stateful RNG stream.
+  // The stateless coin (the Pd coin FilterEngine uses) must give each
+  // packet the same fate through per-packet recv, through burst spans,
+  // and in reversed inspection order — none of which would hold for a
+  // stateful generator.
   const auto fresh = [] {
-    ProportionalDropper d(0.7, util::Rng(3));
-    d.set_coin(ProportionalDropper::CoinKind::kPacketHash, 0xfeedULL);
+    ProportionalDropper d(0.7, 0xfeedULL);
     d.activate({kVictim});
     return d;
   };
@@ -160,12 +150,14 @@ TEST(ProportionalDropper, PacketHashCoinIsOrderAndBatchInvariant) {
 }
 
 TEST(ProportionalDropper, PacketHashCoinHitsConfiguredRate) {
-  ProportionalDropper d(0.7, util::Rng(3));
-  d.set_coin(ProportionalDropper::CoinKind::kPacketHash, 0x5eedULL);
+  ProportionalDropper d(0.7, 0x5eedULL);
   d.activate({kVictim});
   int drops = 0;
-  d.set_drop_handler(
-      [&](const sim::Packet&, sim::DropReason, sim::NodeId) { ++drops; });
+  d.set_drop_handler([&](const sim::Packet&, sim::DropReason r,
+                         sim::NodeId) {
+    EXPECT_EQ(r, sim::DropReason::kDefenseBaseline);
+    ++drops;
+  });
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     auto p = victim_packet(kVictim);
@@ -174,12 +166,12 @@ TEST(ProportionalDropper, PacketHashCoinHitsConfiguredRate) {
     d.recv(std::move(p));
   }
   EXPECT_NEAR(double(drops) / n, 0.7, 0.02);
+  EXPECT_EQ(d.stats().offered, std::uint64_t(n));
+  EXPECT_EQ(d.stats().dropped + d.stats().forwarded, std::uint64_t(n));
   // Degenerate probabilities stay exact.
-  ProportionalDropper never(0.0, util::Rng(3));
-  never.set_coin(ProportionalDropper::CoinKind::kPacketHash, 1);
+  ProportionalDropper never(0.0, 1);
   never.activate({kVictim});
-  ProportionalDropper always(1.0, util::Rng(3));
-  always.set_coin(ProportionalDropper::CoinKind::kPacketHash, 1);
+  ProportionalDropper always(1.0, 1);
   always.activate({kVictim});
   const auto none = run_fates(never, coin_workload(), true);
   const auto all = run_fates(always, coin_workload(), true);

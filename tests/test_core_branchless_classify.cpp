@@ -4,20 +4,22 @@
 // stats that per-packet FilterEngine::inspect() produces from the same
 // packets. These tests hammer that contract with randomized spans under
 // table churn (probation resolution, capacity eviction, NFT
-// revalidation expiry, refresh lapse + reactivation), across both coin
-// modes and shard counts 1/2/4/8, through both batch shapes
-// (contiguous and indirect span). A fixed-seed
-// golden then pins the verdict stream itself, so a divergence that
-// happens to cancel out in aggregate counters still fails loudly.
+// revalidation expiry, refresh lapse + reactivation), across shard
+// counts 1/2/4/8, through both batch shapes (contiguous and indirect
+// span). A fixed-seed golden then pins the verdict stream itself, so a
+// divergence that happens to cancel out in aggregate counters still
+// fails loudly.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/filter_engine.hpp"
 #include "core/sharded_filter.hpp"
 #include "core/standalone_runtime.hpp"
+#include "util/rng.hpp"
 
 namespace mafic::core {
 namespace {
@@ -37,12 +39,11 @@ sim::Packet packet_for(std::uint32_t flow, std::uint8_t victim_octet = 1) {
 /// decisions resolve inside the run, and NFT revalidation so nice flows
 /// cycle back into probation — every structural-mutation path the
 /// pipeline's epoch re-check guards.
-MaficConfig churn_config(CoinMode mode) {
+MaficConfig churn_config() {
   MaficConfig cfg;
   cfg.default_rtt = 0.04;  // 0.08 s probation windows
   cfg.probe_enabled = true;
   cfg.drop_probability = 0.9;
-  cfg.coin_mode = mode;
   cfg.coin_seed = 0xc0117;
   cfg.sft_capacity = 48;
   cfg.nft_revalidation_interval = 0.3;
@@ -51,8 +52,7 @@ MaficConfig churn_config(CoinMode mode) {
 
 /// One randomized packet: skewed flow pool (min of two uniform draws),
 /// a sprinkle of non-victim and control packets to exercise the batch
-/// gate, distinct uids so the kPacketHash coin actually varies
-/// per packet.
+/// gate, distinct uids so the Pd coin actually varies per packet.
 sim::Packet random_packet(util::Rng& rng, std::uint32_t pool,
                           std::uint64_t uid) {
   const auto a = static_cast<std::uint32_t>(rng.index(pool));
@@ -83,17 +83,15 @@ void expect_tables_match(const FlowTables& a, const FlowTables& b) {
 }
 
 // ---------------------------------------------------------------------
-// Contiguous inspect_batch vs scalar inspect, single engine, both coin
-// modes, with a refresh lapse (flush) and reactivation mid-run.
+// Contiguous inspect_batch vs scalar inspect, single engine, with a
+// refresh lapse (flush) and reactivation mid-run.
 // ---------------------------------------------------------------------
 
-class BranchlessContiguous : public ::testing::TestWithParam<CoinMode> {};
-
-TEST_P(BranchlessContiguous, MatchesScalarUnderChurn) {
-  MaficConfig cfg = churn_config(GetParam());
+TEST(BranchlessContiguous, MatchesScalarUnderChurn) {
+  MaficConfig cfg = churn_config();
   cfg.refresh_timeout = 0.25;
-  EngineRuntime scalar_rt(cfg, nullptr, util::Rng(777));
-  EngineRuntime batch_rt(cfg, nullptr, util::Rng(777));
+  EngineRuntime scalar_rt(cfg, nullptr);
+  EngineRuntime batch_rt(cfg, nullptr);
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
   scalar_rt.engine().activate(victims);
   batch_rt.engine().activate(victims);
@@ -151,37 +149,22 @@ TEST_P(BranchlessContiguous, MatchesScalarUnderChurn) {
   EXPECT_EQ(scalar_rt.probes().probes_sent(), batch_rt.probes().probes_sent());
 }
 
-INSTANTIATE_TEST_SUITE_P(CoinModes, BranchlessContiguous,
-                         ::testing::Values(CoinMode::kEngineStream,
-                                           CoinMode::kPacketHash),
-                         [](const auto& info) {
-                           return info.param == CoinMode::kEngineStream
-                                      ? "EngineStream"
-                                      : "PacketHash";
-                         });
-
 // ---------------------------------------------------------------------
 // Indirect-span inspect_batch vs scalar inspect across shard counts.
 // The pipeline's interleaved arrival-order verdict pass must preserve
-// per-engine inspection order (and so the stream-coin draw order) no
-// matter how the span scatters across shards.
+// per-engine inspection order no matter how the span scatters across
+// shards.
 // ---------------------------------------------------------------------
 
-struct ShardCase {
-  std::size_t shards;
-  CoinMode mode;
-};
-
-class BranchlessSharded : public ::testing::TestWithParam<ShardCase> {};
+class BranchlessSharded : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BranchlessSharded, MatchesScalarUnderChurn) {
-  const auto [shards, mode] = GetParam();
-  const MaficConfig cfg = churn_config(mode);
-  constexpr std::uint64_t kSeed = 20260809;
+  const std::size_t shards = GetParam();
+  const MaficConfig cfg = churn_config();
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
 
-  ShardedFilter scalar(shards, cfg, nullptr, kSeed);
-  ShardedFilter batched(shards, cfg, nullptr, kSeed);
+  ShardedFilter scalar(shards, cfg, nullptr);
+  ShardedFilter batched(shards, cfg, nullptr);
   scalar.activate(victims);
   batched.activate(victims);
 
@@ -228,21 +211,13 @@ TEST_P(BranchlessSharded, MatchesScalarUnderChurn) {
             batched.aggregate_stats().decided_malicious);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShardGrid, BranchlessSharded,
-    ::testing::Values(ShardCase{1, CoinMode::kEngineStream},
-                      ShardCase{2, CoinMode::kEngineStream},
-                      ShardCase{4, CoinMode::kEngineStream},
-                      ShardCase{8, CoinMode::kEngineStream},
-                      ShardCase{1, CoinMode::kPacketHash},
-                      ShardCase{2, CoinMode::kPacketHash},
-                      ShardCase{4, CoinMode::kPacketHash},
-                      ShardCase{8, CoinMode::kPacketHash}),
-    [](const auto& info) {
-      return std::string("s") + std::to_string(info.param.shards) +
-             (info.param.mode == CoinMode::kEngineStream ? "_EngineStream"
-                                                         : "_PacketHash");
-    });
+INSTANTIATE_TEST_SUITE_P(ShardGrid, BranchlessSharded,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const auto& param_info) {
+                           std::string name = "s";
+                           name += std::to_string(param_info.param);
+                           return name;
+                         });
 
 // ---------------------------------------------------------------------
 // Fixed-seed golden: the verdict stream itself, fingerprinted. Catches
@@ -268,9 +243,9 @@ struct GoldenResult {
   std::uint64_t decided_malicious;
 };
 
-GoldenResult run_golden(CoinMode mode) {
-  const MaficConfig cfg = churn_config(mode);
-  ShardedFilter filter(2, cfg, nullptr, /*seed=*/0x601d);
+GoldenResult run_golden() {
+  const MaficConfig cfg = churn_config();
+  ShardedFilter filter(2, cfg, nullptr);
   filter.activate({util::make_addr(172, 17, 0, 1)});
 
   util::Rng traffic(0x601d);
@@ -303,19 +278,11 @@ GoldenResult run_golden(CoinMode mode) {
 }
 
 TEST(BranchlessGolden, PacketHashVerdictStreamIsPinned) {
-  const GoldenResult g = run_golden(CoinMode::kPacketHash);
+  const GoldenResult g = run_golden();
   EXPECT_EQ(g.fingerprint, 2083878525354845561ULL);
   EXPECT_EQ(g.dropped_probation, 638ULL);
   EXPECT_EQ(g.decided_nice, 91ULL);
   EXPECT_EQ(g.decided_malicious, 32ULL);
-}
-
-TEST(BranchlessGolden, EngineStreamVerdictStreamIsPinned) {
-  const GoldenResult g = run_golden(CoinMode::kEngineStream);
-  EXPECT_EQ(g.fingerprint, 11548316698728888565ULL);
-  EXPECT_EQ(g.dropped_probation, 614ULL);
-  EXPECT_EQ(g.decided_nice, 84ULL);
-  EXPECT_EQ(g.decided_malicious, 37ULL);
 }
 
 }  // namespace

@@ -4,9 +4,8 @@
 // table + hierarchical timer wheel) on the premise that the *decisions* the
 // filter makes are bit-identical to the original map-based implementation.
 // This test drives the filter with a fully scripted packet schedule and a
-// fixed Rng seed and compares every probation outcome — flow, destination
-// table, and both half-window arrival counts — against goldens recorded
-// from the pre-refactor implementation.
+// fixed coin seed and compares every probation outcome — flow, destination
+// table, and both half-window arrival counts — against recorded goldens.
 //
 // Regenerate goldens (only if the *algorithm* legitimately changes):
 //   MAFIC_PRINT_GOLDEN=1 ./test_core_classification_regression
@@ -55,7 +54,7 @@ std::vector<Outcome> run_scripted() {
   cfg.default_rtt = 0.04;  // 0.08 s probation window
   cfg.drop_probability = 0.9;
 
-  MaficFilter filter(&sim, &factory, atr, cfg, nullptr, util::Rng(42));
+  MaficFilter filter(&sim, &factory, atr, cfg, nullptr);
 
   class Sink final : public sim::Connector {
    public:
@@ -122,28 +121,30 @@ struct GoldenRow {
   std::uint32_t flow, dest, baseline, probe;
 };
 
-// Recorded from the pre-refactor std::unordered_map implementation
-// (commit 96a7caa) with MAFIC_PRINT_GOLDEN=1.
+// Recorded with MAFIC_PRINT_GOLDEN=1 under the stateless Pd coin
+// (coin_seed 0). The earlier golden, recorded from the pre-refactor
+// std::unordered_map implementation (commit 96a7caa), pinned the retired
+// per-engine RNG coin; the flat store and the wheel matched it exactly.
 constexpr GoldenRow kGolden[] = {
-    {0, kPdt, 9, 10},  {1, kNft, 9, 5},   {3, kNft, 9, 2},
-    {7, kNft, 9, 2},   {8, kPdt, 9, 10},  {9, kNft, 9, 5},
-    {11, kNft, 9, 1},  {12, kPdt, 9, 10}, {13, kNft, 9, 5},
-    {15, kNft, 9, 1},  {16, kPdt, 9, 10}, {17, kNft, 9, 5},
-    {19, kNft, 9, 1},  {20, kPdt, 9, 10}, {21, kNft, 9, 5},
-    {23, kNft, 9, 1},  {24, kPdt, 9, 10}, {25, kNft, 9, 5},
-    {27, kNft, 9, 1},  {28, kPdt, 9, 10}, {29, kNft, 9, 5},
-    {31, kNft, 9, 1},  {32, kPdt, 9, 10}, {33, kNft, 9, 5},
-    {35, kNft, 9, 1},  {36, kPdt, 9, 10}, {37, kNft, 9, 5},
-    {39, kNft, 9, 1},  {40, kPdt, 9, 10}, {43, kNft, 9, 1},
-    {4, kPdt, 9, 10},  {44, kPdt, 9, 10}, {5, kNft, 9, 5},
-    {47, kNft, 9, 1},  {41, kNft, 8, 5},  {45, kNft, 8, 5},
-    {2, kNft, 0, 0},   {6, kNft, 0, 0},   {10, kNft, 0, 0},
+    {0, kPdt, 9, 10},  {1, kNft, 9, 5},   {4, kPdt, 9, 10},
+    {3, kNft, 9, 2},   {5, kNft, 9, 5},   {8, kPdt, 9, 10},
+    {9, kNft, 9, 5},   {7, kNft, 9, 2},   {12, kPdt, 9, 10},
+    {13, kNft, 9, 5},  {11, kNft, 9, 1},  {16, kPdt, 9, 10},
+    {17, kNft, 9, 5},  {15, kNft, 9, 1},  {19, kNft, 9, 1},
+    {20, kPdt, 9, 10}, {21, kNft, 9, 5},  {24, kPdt, 9, 10},
+    {25, kNft, 9, 5},  {29, kNft, 9, 5},  {27, kNft, 9, 1},
+    {32, kPdt, 9, 10}, {33, kNft, 9, 5},  {31, kNft, 9, 1},
+    {36, kPdt, 9, 10}, {37, kNft, 9, 5},  {35, kNft, 9, 1},
+    {39, kNft, 9, 1},  {40, kPdt, 9, 10}, {41, kNft, 8, 5},
+    {44, kPdt, 9, 10}, {43, kNft, 9, 1},  {45, kNft, 8, 5},
+    {47, kNft, 9, 1},  {23, kNft, 9, 0},  {28, kPdt, 9, 10},
+    {2, kNft, 0, 0},   {10, kNft, 0, 0},  {14, kNft, 0, 0},
     {18, kNft, 0, 0},  {22, kNft, 0, 0},  {26, kNft, 0, 0},
-    {30, kNft, 0, 0},  {34, kNft, 0, 0},  {38, kNft, 0, 0},
-    {42, kNft, 0, 0},  {46, kNft, 0, 0},  {14, kNft, 0, 0},
+    {30, kNft, 0, 0},  {38, kNft, 0, 0},  {42, kNft, 0, 0},
+    {46, kNft, 0, 0},  {6, kNft, 0, 0},   {34, kNft, 0, 0},
 };
 
-TEST(ClassificationRegression, MatchesMapBasedImplementation) {
+TEST(ClassificationRegression, MatchesPinnedDecisions) {
   std::vector<Outcome> outcomes = run_scripted();
 
   if (std::getenv("MAFIC_PRINT_GOLDEN") != nullptr) {
@@ -158,7 +159,7 @@ TEST(ClassificationRegression, MatchesMapBasedImplementation) {
 
   // Compared per flow: what each flow's decision is — destination table
   // and the exact half-window counts it was judged on — must be
-  // byte-identical to the map-based implementation. The *relative order*
+  // byte-identical to the pinned run. The *relative order*
   // of decisions across different flows is not pinned: decision timers on
   // the wheel fire on tick boundaries, so independent flows' resolutions
   // may interleave differently than the exact-time heap events did.
@@ -181,6 +182,21 @@ TEST(ClassificationRegression, MatchesMapBasedImplementation) {
     EXPECT_EQ(outcomes[i].baseline, want[i].baseline)
         << "flow " << want[i].flow;
     EXPECT_EQ(outcomes[i].probe, want[i].probe) << "flow " << want[i].flow;
+  }
+}
+
+/// The behaviour, not the coin, picks the table: only the steady fast
+/// flows (i % 4 == 0) keep their rate through the probe and end in the
+/// PDT; the rate-halving, trickling and stopping flows all end in the
+/// NFT. Holds for any Pd coin realization, so it survives a coin change
+/// that re-pins the golden above.
+TEST(ClassificationRegression, BehaviourPicksTheTable) {
+  const std::vector<Outcome> outcomes = run_scripted();
+  ASSERT_EQ(outcomes.size(), 48u);
+  for (const auto& o : outcomes) {
+    EXPECT_EQ(o.dest, o.flow % 4 == 0 ? TableKind::kPermanentDrop
+                                      : TableKind::kNice)
+        << "flow " << o.flow;
   }
 }
 

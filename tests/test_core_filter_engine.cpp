@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/standalone_runtime.hpp"
+#include "util/rng.hpp"
 
 namespace mafic::core {
 namespace {
@@ -36,7 +37,7 @@ MaficConfig test_config() {
 class FilterEngineTest : public ::testing::Test {
  protected:
   FilterEngineTest()
-      : runtime(test_config(), nullptr, util::Rng(42)),
+      : runtime(test_config(), nullptr),
         engine(runtime.engine()) {
     engine.activate({util::make_addr(172, 17, 0, 1)});
   }
@@ -46,7 +47,7 @@ class FilterEngineTest : public ::testing::Test {
 };
 
 TEST_F(FilterEngineTest, InactiveOrForeignPacketsForwardUntouched) {
-  EngineRuntime rt(test_config(), nullptr, util::Rng(1));
+  EngineRuntime rt(test_config(), nullptr);
   sim::Packet p = packet_for(0);
   EXPECT_EQ(rt.engine().inspect(p), EngineVerdict::kForward);  // inactive
   EXPECT_EQ(rt.engine().stats().offered, 0u);
@@ -113,7 +114,7 @@ TEST_F(FilterEngineTest, DeactivateFlushesAndCancelsTimers) {
 TEST(FilterEngineRefresh, TimesOutWithoutKeepAlive) {
   MaficConfig cfg = test_config();
   cfg.refresh_timeout = 0.5;
-  EngineRuntime rt(cfg, nullptr, util::Rng(3));
+  EngineRuntime rt(cfg, nullptr);
   rt.engine().activate({util::make_addr(172, 17, 0, 1)});
   ASSERT_TRUE(rt.engine().active());
 
@@ -136,8 +137,8 @@ TEST(FilterEngineBatch, BatchedVerdictsMatchScalarExactly) {
   // outcome must be identical — inspect_batch is an execution strategy,
   // not a semantic change.
   MaficConfig cfg = test_config();
-  EngineRuntime scalar_rt(cfg, nullptr, util::Rng(1234));
-  EngineRuntime batch_rt(cfg, nullptr, util::Rng(1234));
+  EngineRuntime scalar_rt(cfg, nullptr);
+  EngineRuntime batch_rt(cfg, nullptr);
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
   scalar_rt.engine().activate(victims);
   batch_rt.engine().activate(victims);
@@ -180,7 +181,7 @@ TEST(FilterEngineBatch, BatchedVerdictsMatchScalarExactly) {
 TEST(FilterEngineVictimStats, TracksDecisionsPerVictim) {
   MaficConfig cfg = test_config();
   cfg.drop_probability = 1.0;  // deterministic admission
-  EngineRuntime rt(cfg, nullptr, util::Rng(5));
+  EngineRuntime rt(cfg, nullptr);
   const util::Addr v1 = util::make_addr(172, 17, 0, 1);
   const util::Addr v2 = util::make_addr(172, 17, 0, 2);
   rt.engine().activate({v1, v2});

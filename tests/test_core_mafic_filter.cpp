@@ -49,7 +49,7 @@ class MaficFilterTest : public ::testing::Test {
 
     auto make_filter = [&](sim::SimplexLink* uplink) {
       auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                             policy.get(), util::Rng(5));
+                                             policy.get());
       MaficFilter* raw = f.get();
       uplink->add_head_filter(std::move(f));
       return raw;
@@ -114,8 +114,8 @@ TEST_F(MaficFilterTest, IllegalSourceGoesStraightToPdt) {
   sim.run();
   EXPECT_EQ(filter_a->stats().screened_sources, 1u);
   EXPECT_EQ(filter_a->stats().dropped_pdt, 1u);
-  EXPECT_EQ(filter_a->tables().pdt_size(), 1u);
-  EXPECT_EQ(filter_a->tables().stats().direct_pdt, 1u);
+  EXPECT_EQ(filter_a->engine(0).tables().pdt_size(), 1u);
+  EXPECT_EQ(filter_a->engine(0).tables().stats().direct_pdt, 1u);
 }
 
 TEST_F(MaficFilterTest, UnreachableSourceGoesStraightToPdt) {
@@ -134,7 +134,7 @@ TEST_F(MaficFilterTest, UnreachableSourceGoesStraightToPdt) {
 TEST_F(MaficFilterTest, ScreeningCanBeDisabled) {
   cfg.address_screening = false;
   auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
+                                         policy.get());
   MaficFilter* raw = f.get();
   raw->activate({victim->addr()});
   auto p = factory.make();
@@ -160,7 +160,8 @@ TEST_F(MaficFilterTest, UnresponsiveFlowEndsInPdt) {
   activate_all();
   sim.run_until(1.5);
 
-  EXPECT_TRUE(filter_a->tables().in_pdt(sim::hash_label(zombie.wire_label())));
+  EXPECT_TRUE(filter_a->engine(0).tables().in_pdt(
+      sim::hash_label(zombie.wire_label())));
   EXPECT_EQ(filter_a->stats().decided_malicious, 1u);
   EXPECT_EQ(filter_a->stats().decided_nice, 0u);
   // After classification (+0.2 s) every packet is dropped: at most the
@@ -181,7 +182,7 @@ TEST_F(MaficFilterTest, ResponsiveTcpFlowEndsInNftAndRecovers) {
   sim.run_until(2.0);
 
   const auto key = sim::hash_label(sender.label());
-  EXPECT_TRUE(filter_a->tables().in_nft(key));
+  EXPECT_TRUE(filter_a->engine(0).tables().in_nft(key));
   EXPECT_EQ(filter_a->stats().decided_malicious, 0u);
 
   // NFT flows are never dropped again: goodput resumes.
@@ -218,13 +219,13 @@ TEST_F(MaficFilterTest, ThinFlowGetsBenefitOfDoubt) {
   activate_all();
   sim.run_until(3.0);
   const auto key = sim::hash_label(trickle.label());
-  EXPECT_TRUE(filter_a->tables().in_nft(key));
+  EXPECT_TRUE(filter_a->engine(0).tables().in_nft(key));
 }
 
 TEST_F(MaficFilterTest, DropAllInSftModeDropsDeterministically) {
   cfg.drop_all_in_sft = true;
   auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
+                                         policy.get());
   MaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
@@ -251,12 +252,12 @@ TEST_F(MaficFilterTest, DeactivateFlushesAndForwards) {
   zombie.connect(victim->addr(), 80);
   zombie.start();
   sim.run_until(1.0);
-  EXPECT_GT(filter_a->tables().pdt_size(), 0u);
+  EXPECT_GT(filter_a->engine(0).tables().pdt_size(), 0u);
 
   filter_a->deactivate();
   EXPECT_FALSE(filter_a->active());
-  EXPECT_EQ(filter_a->tables().pdt_size(), 0u);
-  EXPECT_EQ(filter_a->tables().sft_size(), 0u);
+  EXPECT_EQ(filter_a->engine(0).tables().pdt_size(), 0u);
+  EXPECT_EQ(filter_a->engine(0).tables().sft_size(), 0u);
 
   transport::UdpSink sink(&sim, &factory, victim, 80);
   const auto dropped = filter_a->stats().dropped_pdt;
@@ -268,7 +269,7 @@ TEST_F(MaficFilterTest, DeactivateFlushesAndForwards) {
 TEST_F(MaficFilterTest, RefreshTimeoutSelfDeactivates) {
   cfg.refresh_timeout = 0.5;
   auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
+                                         policy.get());
   MaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
@@ -280,7 +281,7 @@ TEST_F(MaficFilterTest, RefreshTimeoutSelfDeactivates) {
 TEST_F(MaficFilterTest, RefreshExtendsActivation) {
   cfg.refresh_timeout = 0.5;
   auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
+                                         policy.get());
   MaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
@@ -333,7 +334,7 @@ TEST_F(MaficFilterTest, ProbationDropRateTracksPd) {
   cfg.probe_enabled = false;
   cfg.default_rtt = 0.1;  // window 0.2 s
   auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
+                                         policy.get());
   MaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});

@@ -1,8 +1,8 @@
 // ShardedFilter: the shard-partition invariant and the equivalence
 // property the multi-core datapath stands on — an N-shard filter makes,
 // per flow, exactly the decisions a single-shard engine makes when fed
-// the same per-shard substream with the same derived seed. Equivalence is
-// structural (no shared state, deterministic seed derivation), so any
+// the same per-shard substream with the same config. Equivalence is
+// structural (no shared state, stateless per-packet coins), so any
 // divergence here means cross-shard state leaked in.
 
 #include "core/sharded_filter.hpp"
@@ -14,8 +14,6 @@
 
 namespace mafic::core {
 namespace {
-
-constexpr std::uint64_t kSeed = 20260729;
 
 MaficConfig test_config() {
   MaficConfig cfg;
@@ -37,7 +35,8 @@ sim::Packet packet_for(std::uint32_t flow) {
 
 /// A scripted workload: `flows` flows, mixed behaviors (steady fast,
 /// rate-halving, trickle, stopping), delivered in global time order as
-/// (time, packet) pairs.
+/// (time, packet) pairs. Packets carry distinct uids in arrival order,
+/// as a PacketFactory hands them out, so each one draws its own Pd coin.
 struct Workload {
   std::vector<std::pair<double, sim::Packet>> events;
 };
@@ -69,6 +68,8 @@ Workload make_workload(std::uint32_t flows) {
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
+  std::uint64_t uid = 0;
+  for (auto& event : w.events) event.second.uid = ++uid;
   return w;
 }
 
@@ -82,7 +83,7 @@ struct FlowOutcome {
 
 TEST(ShardedFilter, PartitionCoversAllShardsAndIsStable) {
   MaficConfig cfg = test_config();
-  ShardedFilter filter(8, cfg, nullptr, kSeed);
+  ShardedFilter filter(8, cfg, nullptr);
   std::vector<std::size_t> hits(8, 0);
   for (std::uint32_t i = 0; i < 4096; ++i) {
     const sim::Packet p = packet_for(i);
@@ -104,7 +105,7 @@ TEST(ShardedFilter, NShardDecisionsMatchSingleShardSubstreams) {
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
 
   // --- the N-shard run: every packet routed to its home shard ---------
-  ShardedFilter sharded(kShards, cfg, nullptr, kSeed);
+  ShardedFilter sharded(kShards, cfg, nullptr);
   sharded.activate(victims);
   std::map<std::uint64_t, FlowOutcome> sharded_outcomes;
   for (std::size_t s = 0; s < kShards; ++s) {
@@ -128,13 +129,12 @@ TEST(ShardedFilter, NShardDecisionsMatchSingleShardSubstreams) {
   sharded.advance_until(1.0);
 
   // --- replay each substream into a fresh single-shard engine ---------
-  // Seeded with the same derived stream, driven only by its own packets:
+  // Same config (so the same coin seed), driven only by its own packets:
   // per-shard state must be byte-equivalent, so outcomes must match.
   std::map<std::uint64_t, FlowOutcome> solo_outcomes;
   std::map<std::uint64_t, EngineVerdict> last_verdict_solo;
   for (std::size_t s = 0; s < kShards; ++s) {
-    EngineRuntime solo(cfg, nullptr,
-                       util::Rng(ShardedFilter::shard_seed(kSeed, s)));
+    EngineRuntime solo(cfg, nullptr);
     solo.engine().activate(victims);
     solo.engine().set_classification_callback(
         [&](const SftEntry& e, TableKind dest) {
@@ -176,15 +176,15 @@ TEST(ShardedFilter, NShardDecisionsMatchSingleShardSubstreams) {
 }
 
 TEST(ShardedFilter, IndirectBatchMatchesScalarInspect) {
-  // Two same-seed filters, one driven packet-by-packet, one in spans
+  // Two same-config filters, one driven packet-by-packet, one in spans
   // through the indirect (burst) inspect_batch: span-ordered
   // classification must produce the identical verdict sequence.
   const MaficConfig cfg = test_config();
   const Workload w = make_workload(48);
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
 
-  ShardedFilter scalar(4, cfg, nullptr, kSeed);
-  ShardedFilter batched(4, cfg, nullptr, kSeed);
+  ShardedFilter scalar(4, cfg, nullptr);
+  ShardedFilter batched(4, cfg, nullptr);
   scalar.activate(victims);
   batched.activate(victims);
 
@@ -229,7 +229,7 @@ TEST(ShardedFilter, SameSeedRunsAreIdentical) {
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
 
   const auto run = [&] {
-    ShardedFilter f(4, cfg, nullptr, kSeed);
+    ShardedFilter f(4, cfg, nullptr);
     f.activate(victims);
     std::vector<EngineVerdict> verdicts;
     for (const auto& [t, p] : w.events) {
@@ -245,7 +245,7 @@ TEST(ShardedFilter, SameSeedRunsAreIdentical) {
 TEST(ShardedFilter, AggregateStatsSumShards) {
   MaficConfig cfg = test_config();
   cfg.drop_probability = 1.0;  // every first sight admits
-  ShardedFilter filter(4, cfg, nullptr, kSeed);
+  ShardedFilter filter(4, cfg, nullptr);
   filter.activate({util::make_addr(172, 17, 0, 1)});
   for (std::uint32_t i = 0; i < 256; ++i) {
     const sim::Packet p = packet_for(i);

@@ -104,9 +104,9 @@ TEST(DetectorCatalog, GoldenDetectorFingerprints) {
   // control-plane decision shift re-opens these on purpose; regenerate
   // with   ./build/example_scenario_catalog --detector
   const std::map<std::string, std::uint64_t> golden = {
-      {"carpet_bomb+detector", 0x87de30be813091baULL},
-      {"spoof_churn+detector", 0xb13f6d2f29fbca72ULL},
-      {"pulse_shrew+detector_unlatched", 0x99636742aaca4aadULL},
+      {"carpet_bomb+detector", 0xae24dd0a64ccaebcULL},
+      {"spoof_churn+detector", 0x5e4e192b44a6fb73ULL},
+      {"pulse_shrew+detector_unlatched", 0x2bd2db6fc921dfddULL},
   };
   const Strategy scalar = equivalence_strategies().front();
   for (const DetectorCase& c : kCases) {

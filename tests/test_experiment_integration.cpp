@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mafic::scenario {
 namespace {
@@ -227,6 +228,50 @@ TEST(ExperimentConfigValidation, NegativeControlDelayThrows) {
   EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
 }
 
+TEST(Experiment, RejectsBadShardCounts) {
+  // The shard partition is a bit slice: 0 used to pick another filter
+  // placement and 3 silently became 4.
+  for (const std::size_t bad : {0, 3, 6}) {
+    auto cfg = small_config();
+    cfg.num_shards = bad;
+    EXPECT_THROW(Experiment{cfg}, std::invalid_argument) << bad;
+  }
+  for (const std::size_t good : {1, 2, 4}) {
+    auto cfg = small_config();
+    cfg.num_shards = good;
+    EXPECT_NO_THROW(Experiment{cfg}) << good;
+  }
+}
+
+/// The paper's ATR drops at the head of each ingress uplink, before the
+/// queue, for every shard count.
+TEST(Experiment, MaficFilterSitsBeforeTheUplinkQueue) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE(std::string("num_shards ") + std::to_string(shards));
+    auto cfg = small_config();
+    cfg.num_shards = shards;
+    Experiment exp(cfg);
+    exp.setup();
+    ASSERT_FALSE(exp.domain().access_links().empty());
+    for (const auto& access : exp.domain().access_links()) {
+      sim::SimplexLink* up = access.uplink;
+      // The sketch tap comes first, so the entry itself is not the filter.
+      EXPECT_EQ(dynamic_cast<core::MaficFilter*>(up->entry()), nullptr);
+      int filters = 0;
+      for (sim::Connector* c = up->entry(); c != &up->queue();
+           c = c->target()) {
+        ASSERT_NE(c, nullptr) << "head chain never reached the queue";
+        if (dynamic_cast<core::MaficFilter*>(c) != nullptr) ++filters;
+      }
+      EXPECT_EQ(filters, 1) << "uplink of host " << access.host;
+      EXPECT_EQ(
+          dynamic_cast<core::MaficFilter*>(up->transmitter().target()),
+          nullptr)
+          << "a MAFIC filter sits after the queue";
+    }
+  }
+}
+
 TEST(ExperimentIntegration, FilterConservation) {
   Experiment exp(small_config());
   exp.run();
@@ -248,7 +293,12 @@ TEST(ExperimentIntegration, TablesPartitionFlows) {
                                     std::size_t pending = 0;
                                     for (const auto* f :
                                          exp.mafic_filters()) {
-                                      pending += f->tables().sft_size();
+                                      for (std::size_t s = 0;
+                                           s < f->num_shards(); ++s) {
+                                        pending += f->engine(s)
+                                                       .tables()
+                                                       .sft_size();
+                                      }
                                     }
                                     return pending;
                                   }());

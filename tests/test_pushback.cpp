@@ -159,10 +159,13 @@ TEST(DetectorRule, ClearsWhenAttackSubsidesBelowTriggerFloor) {
 
 TEST(DetectorRule, ConfiguredEwmaAlphaChangesDetection) {
   // A non-default ewma_alpha must actually change when the rule fires.
-  // Baseline ramps 100, 200, ..., then a 900-packet epoch arrives. With
-  // alpha=1.0 the baseline tracks the last sample (400) so 900 < 2.5*400
-  // stays quiet; with a tiny alpha the baseline barely moves off 100 and
-  // 900 > 2.5*~110 alarms.
+  // Traffic grows 1.15x per epoch, from 100 to 405. Each epoch is judged
+  // against a baseline that has learned up to two epochs back (a calm
+  // epoch waits for the next to confirm it). With alpha=1.0 that baseline
+  // is the sample two back, 1.32x under the current one: under the 1.5x
+  // clear threshold, so every epoch is learned and 2.5x never trips. With
+  // a tiny alpha the baseline barely moves off 100, and the ramp passes
+  // 2.5x it once (and stays alarming).
   const auto alarms_with_alpha = [](double alpha) {
     DetectorFeaturePipeline::Config cfg;
     cfg.warmup_epochs = 1;
@@ -171,15 +174,84 @@ TEST(DetectorRule, ConfiguredEwmaAlphaChangesDetection) {
     cfg.ewma_alpha = alpha;
     DetectorFeaturePipeline pipe(cfg, kFanInFloor);
     int raised = 0;
-    for (int e = 1; e <= 4; ++e) {
-      raised += step1(pipe, make_snapshot(2, 0, 1, 100ULL * e,
-                                          e * 1000000ULL)).raised;
+    std::uint64_t uid = 0;
+    for (const std::uint64_t n :
+         {100, 115, 132, 152, 175, 201, 231, 266, 306, 352, 405}) {
+      uid += 1000000;
+      raised += step1(pipe, make_snapshot(2, 0, 1, n, uid)).raised;
     }
-    raised += step1(pipe, make_snapshot(2, 0, 1, 900, 99000000ULL)).raised;
     return raised;
   };
   EXPECT_EQ(alarms_with_alpha(1.0), 0);
   EXPECT_EQ(alarms_with_alpha(0.05), 1);
+}
+
+/// Detector settings of the experiment (ExperimentConfig::default_pushback)
+/// with the given absolute floor.
+DetectorFeaturePipeline::Config experiment_rule(double floor) {
+  DetectorFeaturePipeline::Config cfg;
+  cfg.warmup_epochs = 12;
+  cfg.trigger_factor = 1.8;
+  cfg.ewma_alpha = 0.3;
+  cfg.min_packets_per_epoch = floor;
+  return cfg;
+}
+
+TEST(DetectorRule, AttackRampDoesNotPoisonTheBaseline) {
+  // Regression: zombies start staggered over a 0.2 s attack ramp, two
+  // 0.1 s epochs. The rule used to learn every quiet epoch, so the ramp's
+  // first epoch (797, under 1.8 x the ~480 baseline) entered the EWMA and
+  // lifted the next threshold above the flood itself: 996 was learned
+  // too, and the baseline chased the attack from then on. 797 sits over
+  // the 1.5x clear threshold, so it is never learned. The floor is the
+  // one the control-plane experiment tests use.
+  DetectorFeaturePipeline pipe(experiment_rule(120), kFanInFloor);
+
+  std::uint64_t uid = 0;
+  const auto epoch = [&](std::uint64_t n) {
+    uid += 1000000;
+    return step1(pipe, make_snapshot(2, 0, 1, n, uid));
+  };
+  for (const std::uint64_t quiet : {472, 488, 479, 495, 466, 483, 490, 476,
+                                    485, 470, 492, 481, 487, 478}) {
+    EXPECT_FALSE(epoch(quiet).alarming) << "quiet epoch " << quiet;
+  }
+  EXPECT_FALSE(epoch(797).alarming);  // the ramp's first epoch
+  const VictimDecision flood = epoch(996);
+  EXPECT_TRUE(flood.raised);
+  EXPECT_LT(flood.features.baseline, 600.0);  // 797 was never learned
+  EXPECT_TRUE(epoch(1073).alarming);
+  EXPECT_TRUE(epoch(1111).alarming);
+}
+
+TEST(DetectorRule, CarpetRampUnderTheTriggerDoesNotPoisonTheBaseline) {
+  // Regression: a carpet-bomb army reaching a last-hop router that
+  // carries ~1,100 packets per epoch of its own. |Dj| climbs over three
+  // epochs (1,313, 1,520, 1,839) and then sits under 1.8x the baseline
+  // until a peak. Holding only one calm epoch back still let the ramp's
+  // first two epochs and the whole plateau in, the baseline chased the
+  // attack and the peak never alarmed. Now only the ramp's first epoch is
+  // learned. The epochs are one router's |Dj| from the start of a run
+  // (the benchmark's carpet_detector workload at smoke scale, seed 7),
+  // with that workload's floor.
+  DetectorFeaturePipeline pipe(experiment_rule(150), kFanInFloor);
+
+  std::uint64_t uid = 0;
+  const auto epoch = [&](std::uint64_t n) {
+    uid += 1000000;
+    return step1(pipe, make_snapshot(2, 0, 1, n, uid));
+  };
+  for (const std::uint64_t quiet :
+       {16, 573, 879, 815, 833, 910, 1299, 1059, 1062, 1210, 1076, 986,
+        1099, 975, 1172, 1079, 1188, 1114, 1076, 1093}) {
+    EXPECT_FALSE(epoch(quiet).alarming) << "quiet epoch " << quiet;
+  }
+  for (const std::uint64_t ramp : {1313, 1520, 1839, 1863, 1927, 1953}) {
+    EXPECT_FALSE(epoch(ramp).alarming) << "attack epoch " << ramp;
+  }
+  const VictimDecision peak = epoch(2121);
+  EXPECT_TRUE(peak.raised);
+  EXPECT_LT(peak.features.baseline, 1200.0);
 }
 
 TEST(DetectorRule, BaselineFrozenWhileAlarming) {
