@@ -33,16 +33,13 @@ int main() {
 
   // Sharded-datapath cross-check: the same figure points driven through
   // 4-shard filters must reproduce the scalar path's classification
-  // decisions exactly (fixed seed, stateless Pd coins). The uplinks send
-  // bursts of 8, after the filters: each filter sits before its queue and
-  // inspects one packet at a time.
+  // decisions exactly (fixed seed, stateless Pd coins).
   std::printf("\n== sharded datapath cross-check (4 shards vs 1) ==\n");
   bool ok = true;
   for (const std::size_t vt : {30, 70}) {
     scenario::ExperimentConfig base;
     base.seed = 42;
     base.total_flows = vt;
-    base.link_burst_size = 8;
     const auto run = [&](std::size_t shards) {
       scenario::ExperimentConfig cfg = base;
       cfg.num_shards = shards;

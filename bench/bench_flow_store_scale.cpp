@@ -557,19 +557,17 @@ double run_admission_flood_quota(std::uint64_t iterations,
 
 /// End-to-end sharded-simulation gate: a fixed-seed figure-bench-shaped
 /// run with num_shards = 4 must make classification decisions identical
-/// to the scalar (num_shards = 1) path (the uplinks send bursts of 8,
-/// after the filters, which inspect one packet at a time) — once with
-/// the legacy global eviction ring and once with per-victim quotas on
-/// (extra victim + sft_victim_quota; per-shard quota accounting is
-/// shard-local, so the sums must stay deterministic). Returns true when
-/// both comparisons match.
+/// to the scalar (num_shards = 1) path — once with the legacy global
+/// eviction ring and once with per-victim quotas on (extra victim +
+/// sft_victim_quota; per-shard quota accounting is shard-local, so the
+/// sums must stay deterministic). Returns true when both comparisons
+/// match.
 bool check_sim_sharded_equivalence() {
   scenario::ExperimentConfig base;
   base.seed = 42;
   base.total_flows = 32;
   base.router_count = 12;
   base.end_time = 6.0;
-  base.link_burst_size = 8;
 
   bool all_ok = true;
   for (const bool quotas : {false, true}) {
@@ -596,7 +594,7 @@ bool check_sim_sharded_equivalence() {
         scalar.probes_issued == sharded.probes_issued &&
         scalar.events_processed == sharded.events_processed &&
         scalar.sft_admissions > 0;
-    std::printf("\nsharded sim equivalence (uplink burst=8, quotas %s): scalar "
+    std::printf("\nsharded sim equivalence (quotas %s): scalar "
                 "%llu->NFT %llu->PDT vs 4-shard %llu->NFT %llu->PDT: %s\n",
                 quotas ? "on" : "off",
                 static_cast<unsigned long long>(scalar.moved_to_nft),

@@ -3,9 +3,10 @@
 // FilterEngine / ShardedFilter directly — no sim::Simulator, no event
 // heap, no PacketPtr lifecycle — so the reported packets/sec is the
 // datapath's own, and pairing every replay tier with a sim-driven twin
-// (the same trace delivered as simulator burst events through a
-// MaficFilter) turns "sim overhead" into a visible number
-// instead of a confound baked into every published tier.
+// (the same trace delivered through a MaficFilter by scheduled simulator
+// events, each recv()ing its group of packets in order) turns "sim
+// overhead" into a visible number instead of a confound baked into every
+// published tier.
 //
 // Trace tiers, each stationary by construction:
 //   steady     — whole population resolved into the NFT; uniform-random
@@ -451,10 +452,11 @@ class CountingSink final : public sim::Connector {
 
 /// The simulator-driven twin of one replay tier: the same warm-up and
 /// trace packets (same uids, so the same coins and the same table
-/// trajectory) delivered as scheduled burst events through a
-/// MaficFilter. The ns/pkt delta against the replay tier
-/// is the simulator's own cost — event heap, PacketPtr lifecycle,
-/// connector dispatch — on top of an identical classify workload.
+/// trajectory) delivered through a MaficFilter by scheduled events, each
+/// recv()ing its group of packets in order, as a link head does. The
+/// ns/pkt delta against the replay tier is the simulator's own cost —
+/// event heap, PacketPtr lifecycle, connector dispatch — on top of an
+/// identical classify workload.
 double run_sim_twin(const Fixture& fx, std::size_t shards,
                     const std::vector<sim::Packet>& trace, int passes) {
   sim::Simulator sim;
@@ -480,15 +482,15 @@ double run_sim_twin(const Fixture& fx, std::size_t shards,
   // deadlines so the population resolves before the timed window.
   {
     std::size_t i = 0;
-    std::size_t burst_no = 0;
+    std::size_t group_no = 0;
     while (i < fx.warm.size()) {
       const std::size_t m = std::min<std::size_t>(1024, fx.warm.size() - i);
       auto span = std::make_shared<std::vector<sim::PacketPtr>>();
       span->reserve(m);
       for (std::size_t j = 0; j < m; ++j) span->push_back(clone(fx.warm[i + j]));
-      sim.schedule_at(0.5 + 1e-6 * double(burst_no++),
+      sim.schedule_at(0.5 + 1e-6 * double(group_no++),
                       [&filter, span] {
-                        filter.recv_burst(span->data(), span->size());
+                        for (auto& p : *span) filter.recv(std::move(p));
                         span->clear();
                       });
       i += m;
@@ -513,7 +515,7 @@ double run_sim_twin(const Fixture& fx, std::size_t shards,
       for (std::size_t j = 0; j < m; ++j) span->push_back(clone(trace[off + j]));
       spans.push_back(span);
       sim.schedule_at(base + 1e-6 * double(t), [&filter, span] {
-        filter.recv_burst(span->data(), span->size());
+        for (auto& p : *span) filter.recv(std::move(p));
         span->clear();
       });
     }

@@ -1,8 +1,7 @@
 // Sharded datapath: run the same fixed-seed scenario through one-engine
 // ATR filters (num_shards = 1) and 4-shard ones, and show that the
 // classification decisions are identical while the work spreads over
-// the shards. The ingress uplinks send bursts, but each filter sits
-// before its uplink queue and inspects one packet at a time.
+// the shards.
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build
@@ -20,12 +19,10 @@ int main() {
   base.total_flows = 40;
   base.router_count = 16;
   base.end_time = 8.0;
-  base.link_burst_size = 8;  // uplink departures coalesce after the filter
 
-  std::printf("MAFIC sharded datapath — Vt=%zu flows, uplink burst=%zu, "
+  std::printf("MAFIC sharded datapath — Vt=%zu flows, "
               "scalar vs 4 shards, seed=%llu\n\n",
-              base.total_flows, base.link_burst_size,
-              static_cast<unsigned long long>(base.seed));
+              base.total_flows, static_cast<unsigned long long>(base.seed));
 
   scenario::ExperimentResult results[2];
   const std::size_t shard_counts[2] = {1, 4};

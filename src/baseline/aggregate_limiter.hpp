@@ -72,45 +72,6 @@ class AggregateLimiter final : public sim::InlineFilter,
     return Decision::drop(sim::DropReason::kDefenseBaseline);
   }
 
-  /// Token-bucket batch path for link bursts: one refill covers the whole
-  /// span (every packet of a burst arrives at the same simulation
-  /// instant, so the per-packet refills after the first would add
-  /// (now - now) * rate = 0 tokens — the arithmetic below is exactly the
-  /// per-packet sequence with those no-ops elided) and the span is judged
-  /// in one pass without a virtual inspect() dispatch per packet.
-  /// Verdicts, stats and callback order are bit-identical to recv()ing
-  /// each packet in span order (test_baseline pins this).
-  void inspect_burst(sim::PacketPtr* pkts, std::size_t n,
-                     Decision* out) override {
-    bool refilled = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const sim::Packet& p = *pkts[i];
-      if (!active_ || !victims_.contains(p.label.dst)) {
-        out[i] = Decision::forward();
-        continue;
-      }
-      ++stats_.offered;
-      if (on_offered_) on_offered_(p);
-      if (!refilled) {
-        // First victim-bound packet of the span: matches where the
-        // per-packet path would have refilled (refilling earlier would
-        // also be a no-op at equal `now`, but keeping the exact call
-        // point makes the bit-for-bit claim self-evident).
-        refill();
-        refilled = true;
-      }
-      const double need = static_cast<double>(p.size_bytes);
-      if (tokens_ >= need) {
-        tokens_ -= need;
-        ++stats_.forwarded;
-        out[i] = Decision::forward();
-      } else {
-        ++stats_.dropped;
-        out[i] = Decision::drop(sim::DropReason::kDefenseBaseline);
-      }
-    }
-  }
-
  private:
   void refill() {
     const double now = sim_->now();

@@ -9,12 +9,10 @@
 ///
 /// The coin is FilterEngine's Pd coin (core/pd_coin.hpp): a stateless hash
 /// of (coin_seed, flow-label hash, packet uid), so a packet's fate is
-/// independent of inspection order and batching, and an experiment that
-/// gives both defenses the same seed hands the same packets the same
-/// coins. The inspect_burst override walks a span without touching any
-/// mutable coin state, and its verdict stream is bit-identical to the
-/// per-packet path (test_baseline pins both the identity and golden drop
-/// counts at fixed seeds).
+/// independent of inspection order, and an experiment that gives both
+/// defenses the same seed hands the same packets the same coins
+/// (test_baseline pins the order invariance and a golden drop count at a
+/// fixed seed).
 
 #include <cstdint>
 
@@ -57,17 +55,7 @@ class ProportionalDropper final : public sim::InlineFilter,
   const Stats& stats() const noexcept { return stats_; }
 
  protected:
-  Decision inspect(sim::Packet& p) override { return decide(p); }
-
-  /// Span walk sharing decide(): the coin reads no mutable state, so
-  /// verdicts are bit-identical to per-packet inspection.
-  void inspect_burst(sim::PacketPtr* pkts, std::size_t n,
-                     Decision* out) override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = decide(*pkts[i]);
-  }
-
- private:
-  Decision decide(const sim::Packet& p) {
+  Decision inspect(sim::Packet& p) override {
     if (!active_ || !victims_.contains(p.label.dst)) {
       return Decision::forward();
     }
@@ -81,6 +69,7 @@ class ProportionalDropper final : public sim::InlineFilter,
     return Decision::forward();
   }
 
+ private:
   double pd_;
   std::uint64_t coin_seed_;
   bool active_ = false;

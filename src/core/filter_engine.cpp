@@ -119,9 +119,8 @@ EngineVerdict FilterEngine::inspect_hashed(const sim::Packet& p,
 }
 
 // maficlint: hot
-template <typename GetPacket>
-void FilterEngine::inspect_batch_impl(GetPacket&& get, std::size_t n,
-                                      EngineVerdict* out) {
+void FilterEngine::inspect_batch(const sim::Packet* pkts, std::size_t n,
+                                 EngineVerdict* out) {
   constexpr std::size_t kWindow = VerdictPipeline::kWindow;
   std::uint64_t keys[kWindow];
   std::uint8_t hot[kWindow];  // victim-bound and inspectable
@@ -135,30 +134,14 @@ void FilterEngine::inspect_batch_impl(GetPacket&& get, std::size_t n,
   std::size_t i = 0;
   while (i < n) {
     const std::size_t m = std::min(kWindow, n - i);
-    auto packet_at = [&get, i](std::size_t j) -> const sim::Packet& {
-      return get(i + j);
+    auto packet_at = [pkts, i](std::size_t j) -> const sim::Packet& {
+      return pkts[i + j];
     };
     VerdictPipeline::prehash_window(*this, packet_at, m, keys, hot);
     VerdictPipeline::window<false>(engine_at, packet_at, now_at, keys, hot,
                                    m, out + i);
     i += m;
   }
-}
-
-// maficlint: hot
-void FilterEngine::inspect_batch(const sim::Packet* pkts, std::size_t n,
-                                 EngineVerdict* out) {
-  inspect_batch_impl(
-      [pkts](std::size_t i) -> const sim::Packet& { return pkts[i]; }, n,
-      out);
-}
-
-// maficlint: hot
-void FilterEngine::inspect_batch(const sim::Packet* const* pkts,
-                                 std::size_t n, EngineVerdict* out) {
-  inspect_batch_impl(
-      [pkts](std::size_t i) -> const sim::Packet& { return *pkts[i]; }, n,
-      out);
 }
 
 // maficlint: hot

@@ -133,12 +133,6 @@ class FilterEngine {
   void inspect_batch(const sim::Packet* pkts, std::size_t n,
                      EngineVerdict* out);
 
-  /// inspect_batch over an indirect span (pointer array instead of a
-  /// contiguous packet array) — what a simulator burst delivers. Same
-  /// windowed pre-hash + prefetch, same verdicts.
-  void inspect_batch(const sim::Packet* const* pkts, std::size_t n,
-                     EngineVerdict* out);
-
   /// The batched-inspection hot gate: true when `p` is inspectable
   /// victim-bound traffic (engine active, protected destination, not
   /// control). Cold packets forward without hashing or prefetching.
@@ -192,10 +186,6 @@ class FilterEngine {
   /// directly — it is the oracle the fast lanes are checked against.
   EngineVerdict classify_slow(const sim::Packet& p, std::uint64_t key,
                               double now);
-  /// Windowed pipeline walk over any packet accessor.
-  template <typename GetPacket>
-  void inspect_batch_impl(GetPacket&& get, std::size_t n,
-                          EngineVerdict* out);
   /// This packet's Pd coin (true = drop): a pure function of
   /// (coin_seed, key, uid), shared by the scalar walk and the pipeline's
   /// pass-3 precompute.

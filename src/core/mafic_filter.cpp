@@ -30,13 +30,4 @@ sim::InlineFilter::Decision MaficFilter::inspect(sim::Packet& p) {
   return to_decision(sharded_.inspect(p));
 }
 
-void MaficFilter::inspect_burst(sim::PacketPtr* pkts, std::size_t n,
-                                Decision* out) {
-  batch_ptrs_.resize(n);
-  batch_verdicts_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) batch_ptrs_[i] = pkts[i].get();
-  sharded_.inspect_batch(batch_ptrs_.data(), n, batch_verdicts_.data());
-  for (std::size_t i = 0; i < n; ++i) out[i] = to_decision(batch_verdicts_[i]);
-}
-
 }  // namespace mafic::core

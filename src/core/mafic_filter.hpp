@@ -18,11 +18,11 @@
 ///                     (the shared hierarchical wheel; the sim is
 ///                     single-threaded, so shards can share it)
 ///   * ProbeSink    -> Prober, which crafts duplicate-ACK packets and
-///                     sends them out of the ATR node. Spans classify in
-///                     arrival order, so every shard schedules its probe
-///                     timers in arrival order on the shared wheel and
-///                     the merged probe stream hits the wire exactly as
-///                     one engine would emit it.
+///                     sends them out of the ATR node. Packets classify
+///                     in arrival order, so every shard schedules its
+///                     probe timers in arrival order on the shared wheel
+///                     and the merged probe stream hits the wire exactly
+///                     as one engine would emit it.
 /// plus the InlineFilter verdict mapping and the DefenseActuator control
 /// surface the pushback coordinator drives.
 ///
@@ -48,8 +48,9 @@ namespace mafic::core {
 
 class MaficFilter final : public sim::InlineFilter, public DefenseActuator {
  public:
-  /// `num_shards` rounds up to a power of two (see
-  /// ShardedFilter::usable_shard_count); 1 is the scalar ATR.
+  /// `num_shards` must be a power of two >= 1 (the ShardedFilter
+  /// constructor throws std::invalid_argument otherwise); 1 is the
+  /// scalar ATR.
   MaficFilter(sim::Simulator* sim, sim::PacketFactory* factory,
               sim::Node* atr_node, MaficConfig cfg,
               const AddressPolicy* policy, std::size_t num_shards = 1);
@@ -69,7 +70,7 @@ class MaficFilter final : public sim::InlineFilter, public DefenseActuator {
   bool active() const noexcept override { return sharded_.active(); }
 
   /// Installs the callback on every shard engine. Callbacks must not
-  /// mutate the filter itself (activate/deactivate) mid-burst.
+  /// mutate the filter itself (activate/deactivate) mid-inspection.
   void set_offered_callback(const FilterEngine::OfferedCallback& cb);
   void set_classification_callback(
       const FilterEngine::ClassificationCallback& cb);
@@ -98,20 +99,12 @@ class MaficFilter final : public sim::InlineFilter, public DefenseActuator {
 
  protected:
   Decision inspect(sim::Packet& p) override;
-  /// Bursts run ShardedFilter::inspect_batch (one partition pass,
-  /// windowed prefetch, arrival-order classification); verdict-identical
-  /// to per-packet inspect().
-  void inspect_burst(sim::PacketPtr* pkts, std::size_t n,
-                     Decision* out) override;
 
  private:
   SimClock clock_;
   SimTimerService timers_;
   Prober prober_;
   ShardedFilter sharded_;
-  // inspect_burst scratch (reused; steady state allocates nothing).
-  std::vector<const sim::Packet*> batch_ptrs_;
-  std::vector<EngineVerdict> batch_verdicts_;
 };
 
 }  // namespace mafic::core

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "core/verdict_pipeline.hpp"
 
@@ -14,7 +15,10 @@ struct Partition {
 };
 
 Partition partition_for(std::size_t shard_count) {
-  assert(std::has_single_bit(shard_count));
+  if (!std::has_single_bit(shard_count)) {
+    throw std::invalid_argument(
+        "ShardedFilter: shard_count must be a power of two >= 1");
+  }
   const auto bits = static_cast<unsigned>(std::countr_zero(shard_count));
   return {bits, 64 - bits};
 }
@@ -22,7 +26,6 @@ Partition partition_for(std::size_t shard_count) {
 
 ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
                              const AddressPolicy* policy) {
-  shard_count = usable_shard_count(shard_count);
   const Partition part = partition_for(shard_count);
   shard_bits_ = part.bits;
   shift_ = part.shift;
@@ -37,7 +40,6 @@ ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
 ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
                              const AddressPolicy* policy,
                              const SeamProvider& seams) {
-  shard_count = usable_shard_count(shard_count);
   const Partition part = partition_for(shard_count);
   shard_bits_ = part.bits;
   shift_ = part.shift;

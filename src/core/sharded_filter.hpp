@@ -20,7 +20,7 @@
 /// The ShardedFilter itself spawns no threads: it is the passive state +
 /// routing layer. Drivers (bench_flow_store_scale's multi-threaded
 /// harness, or a DPDK-style run-to-completion loop) own the threads and
-/// feed each shard its pre-partitioned bursts via engine(i).inspect_batch.
+/// feed each shard its pre-partitioned batches via engine(i).inspect_batch.
 ///
 /// Two runtimes:
 ///  * standalone (default constructor): every shard is a self-contained
@@ -32,7 +32,6 @@
 ///    simulator's clock, shared wheel and a real Prober. In this mode
 ///    the environment drives time; advance_until() must not be called.
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -56,15 +55,9 @@ class ShardedFilter {
   /// construction, in shard order.
   using SeamProvider = std::function<ShardSeams(std::size_t shard)>;
 
-  /// The partition is a bit slice, so the effective shard count is
-  /// `requested` rounded up to a power of two (3 -> 4, 0 -> 1); see
-  /// shard_count() for what was actually built.
-  static std::size_t usable_shard_count(std::size_t requested) noexcept {
-    return std::bit_ceil(requested < 1 ? std::size_t{1} : requested);
-  }
-
-  /// `shard_count` rounds up to a power of two (the partition is a bit
-  /// slice). Per-shard capacities come from `cfg` verbatim: N shards
+  /// `shard_count` must be a power of two >= 1, because the partition
+  /// is a bit slice; both constructors throw std::invalid_argument
+  /// otherwise. Per-shard capacities come from `cfg` verbatim: N shards
   /// hold N times the flows of one engine, mirroring per-core table
   /// memory.
   ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
@@ -102,7 +95,7 @@ class ShardedFilter {
     return *engines_[i];
   }
 
-  // --- control plane (single-threaded, between datapath bursts) --------
+  // --- control plane (single-threaded, between datapath batches) -------
   void activate(const VictimSet& victims);
   /// Weighted per-victim SFT quotas: forwarded to EVERY shard engine so
   /// all shards agree on class reservations (the cross-shard equivalence
@@ -117,7 +110,7 @@ class ShardedFilter {
   /// forward without hashing, as in partition_span — every shard shares
   /// the activation state and victim set, so the first engine decides for
   /// all), then hashes once: the routing key doubles as the table key.
-  /// The sim adapter's per-packet path.
+  /// The sim adapter's path.
   // maficlint: hot
   EngineVerdict inspect(const sim::Packet& p) {
     if (!engines_.front()->wants(p)) return EngineVerdict::kForward;
@@ -125,10 +118,10 @@ class ShardedFilter {
     return engines_[shard_of(key)]->inspect_hashed(p, key);
   }
 
-  /// Batch-inspects an indirect span (what a simulator burst delivers)
-  /// in ARRIVAL order: runs partition_span, prefetches each hot key's
-  /// home slot in its home shard's store a window ahead, then classifies
-  /// sequentially, dispatching every packet to its home engine. Keeps
+  /// Batch-inspects an indirect span in ARRIVAL order: runs
+  /// partition_span, prefetches each hot key's home slot in its home
+  /// shard's store a window ahead, then classifies sequentially,
+  /// dispatching every packet to its home engine. Keeps
   /// the memory-level parallelism of FilterEngine::inspect_batch while
   /// preserving cross-shard arrival order — admissions schedule their
   /// probe/decision timers in span order, so a shared timer service
@@ -154,7 +147,7 @@ class ShardedFilter {
   std::size_t resident() const;
 
  private:
-  /// The pre-hash pass over one burst span: gate (wants), label hash and
+  /// The pre-hash pass over one span: gate (wants), label hash and
   /// home-shard id per packet, computed exactly once. Cold packets
   /// (hot[i] == 0) have undefined key/shard entries.
   struct SpanPartition {

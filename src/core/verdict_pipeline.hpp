@@ -3,8 +3,8 @@
 /// \file verdict_pipeline.hpp
 /// The batched classify micro-path: a staged, struct-of-arrays verdict
 /// pipeline shared by every batched inspection entry point —
-/// FilterEngine::inspect_batch (contiguous and indirect) and
-/// ShardedFilter::inspect_batch (the cross-shard arrival-order walk).
+/// FilterEngine::inspect_batch (one engine, a contiguous packet array)
+/// and ShardedFilter::inspect_batch (the cross-shard arrival-order walk).
 /// One template, two adapters, so the paths cannot drift.
 ///
 /// A window of kWindow packets runs through four passes over parallel

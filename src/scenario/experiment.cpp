@@ -94,7 +94,6 @@ void Experiment::build_topology() {
   net_ = std::make_unique<sim::Network>(&sim_);
   auto domain_cfg = cfg_.domain;
   domain_cfg.router_count = cfg_.router_count;
-  domain_cfg.access_uplink_burst_packets = cfg_.link_burst_size;
   domain_ = std::make_unique<topology::Domain>(net_.get(), rng_.split(),
                                                domain_cfg);
   domain_->build_core();

@@ -168,13 +168,6 @@ struct ExperimentConfig {
   /// throws std::invalid_argument unless this is a power of two >= 1.
   std::size_t num_shards = 1;
 
-  /// Departure coalescing on ingress access uplinks
-  /// (DomainConfig::access_uplink_burst_packets): back-to-back departures
-  /// reach the ATR router as one span of up to this many packets. The
-  /// MAFIC filter sits before the uplink queue, so it still sees one
-  /// packet at a time. 1 = per-packet delivery.
-  std::size_t link_burst_size = 1;
-
   // --- pushback substrate ----------------------------------------------------
   /// The Experiment constructor also throws std::invalid_argument unless
   /// epoch_seconds > 0, pushback.refresh_interval > 0 and

@@ -28,8 +28,8 @@ const char* to_string(AttackShape s) noexcept {
 
 std::vector<Strategy> equivalence_strategies() {
   return {
-      {"scalar", 1, 8},
-      {"sharded", 4, 8},
+      {"scalar", 1},
+      {"sharded", 4},
   };
 }
 
@@ -78,7 +78,6 @@ ExperimentConfig compile(const ScenarioSpec& spec) {
 
 void apply_strategy(const Strategy& strat, ExperimentConfig& cfg) {
   cfg.num_shards = strat.num_shards;
-  cfg.link_burst_size = strat.link_burst;
 }
 
 Timeline generate_timeline(const ScenarioSpec& spec) {

@@ -113,20 +113,16 @@ struct TimelineEvent {
 using Timeline = std::vector<TimelineEvent>;
 
 /// One datapath configuration the battery runs every scenario through:
-/// the engine shards per ATR filter (1 = the scalar ATR) and the access
-/// uplinks' departure coalescing. The filter always sits at the uplink
-/// head, before the queue.
+/// the engine shards per ATR filter (1 = the scalar ATR). The filter
+/// always sits at the uplink head, before the queue.
 struct Strategy {
   const char* label = "scalar";
   std::size_t num_shards = 1;
-  std::size_t link_burst = 8;
 };
 
 /// The two bit-comparable strategies of the differential battery:
-/// scalar (1 shard) and sharded (4 shards). Both share the same link
-/// burst size, so the packet arrival order — and therefore every
-/// per-flow decision — must match exactly. The bursts form after the
-/// filter, at the uplink transmitter; the filter sees single packets.
+/// scalar (1 shard) and sharded (4 shards). Every per-flow decision must
+/// match exactly.
 std::vector<Strategy> equivalence_strategies();
 
 /// Compiles the declarative spec into a runnable ExperimentConfig

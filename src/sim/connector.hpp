@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "sim/packet.hpp"
 #include "sim/types.hpp"
@@ -27,16 +26,6 @@ class Connector {
 
   virtual void recv(PacketPtr p) = 0;
 
-  /// Burst delivery: `n` packets that crossed the upstream element
-  /// back-to-back (see LinkTransmitter's burst mode). The span is ordered
-  /// (pkts[0] departed first) and the receiver takes ownership of every
-  /// packet in it; the pointer array itself stays with the caller. The
-  /// default unbatches — elements that can exploit a whole span
-  /// (batch-inspecting filters, routing nodes) override this.
-  virtual void recv_burst(PacketPtr* pkts, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) recv(std::move(pkts[i]));
-  }
-
   void set_target(Connector* t) noexcept { target_ = t; }
   Connector* target() const noexcept { return target_; }
 
@@ -45,15 +34,6 @@ class Connector {
   /// (which only happens in partially built test fixtures).
   void pass(PacketPtr p) {
     if (target_ != nullptr) target_->recv(std::move(p));
-  }
-
-  /// Forwards a whole span, keeping it a burst for downstream elements.
-  void pass_burst(PacketPtr* pkts, std::size_t n) {
-    if (target_ != nullptr) {
-      target_->recv_burst(pkts, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) pkts[i].reset();
-    }
   }
 
  private:
@@ -70,15 +50,6 @@ class TapConnector final : public Connector {
   void recv(PacketPtr p) override {
     if (observer_) observer_(*p);
     pass(std::move(p));
-  }
-
-  /// Observes every packet but keeps the span intact for downstream
-  /// batch consumers (the default recv_burst would unbatch it).
-  void recv_burst(PacketPtr* pkts, std::size_t n) override {
-    if (observer_) {
-      for (std::size_t i = 0; i < n; ++i) observer_(*pkts[i]);
-    }
-    pass_burst(pkts, n);
   }
 
  private:
@@ -111,24 +82,6 @@ class InlineFilter : public Connector {
     }
   }
 
-  /// Inspects the whole span (batch-capable filters overlap their table
-  /// lookups here), drops through the drop handler, compacts the
-  /// survivors in place, and forwards them as one burst.
-  /// Verdict-equivalent to receiving each packet via recv().
-  void recv_burst(PacketPtr* pkts, std::size_t n) final {
-    decisions_.resize(n);
-    inspect_burst(pkts, n, decisions_.data());
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (decisions_[i].verdict == Verdict::kForward) {
-        pkts[kept++] = std::move(pkts[i]);
-      } else if (drop_handler_) {
-        drop_handler_(*pkts[i], decisions_[i].reason, location_);
-      }
-    }
-    if (kept > 0) pass_burst(pkts, kept);
-  }
-
   void set_drop_handler(DropHandler h) { drop_handler_ = std::move(h); }
   void set_location(NodeId where) noexcept { location_ = where; }
   NodeId location() const noexcept { return location_; }
@@ -136,18 +89,9 @@ class InlineFilter : public Connector {
  protected:
   virtual Decision inspect(Packet& p) = 0;
 
-  /// One decision per packet of the span, in order. The default inspects
-  /// packet-by-packet; batch-capable filters (MaficFilter) override to
-  /// route the span into inspect_batch.
-  virtual void inspect_burst(PacketPtr* pkts, std::size_t n,
-                             Decision* out) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = inspect(*pkts[i]);
-  }
-
  private:
   DropHandler drop_handler_;
   NodeId location_ = kInvalidNode;
-  std::vector<Decision> decisions_;  ///< recv_burst scratch (reused)
 };
 
 }  // namespace mafic::sim

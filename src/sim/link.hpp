@@ -16,26 +16,12 @@
 namespace mafic::sim {
 
 /// Serializes packets onto the wire at the configured bandwidth, then
-/// delivers them to the endpoint after the propagation delay. Pulls from
-/// its PacketQueue.
-///
-/// Burst mode (`burst_packets > 1`): up to that many queued packets are
-/// pulled and serialized back-to-back as one train, and the whole span is
-/// delivered to the endpoint in ONE event at last-bit time + propagation
-/// delay — so downstream batch consumers (Node routing, inspect_batch
-/// filters) see real bursts. Per-packet fields (uid, timestamps, order)
-/// are untouched; the only semantic difference from per-packet mode is
-/// that the first packets of a train arrive with it instead of up to
-/// (burst-1) transmission times earlier. `burst_packets == 1` preserves
-/// the original per-packet event sequence exactly.
+/// delivers them to the endpoint after the propagation delay, one packet
+/// per event as an NS-2 link does. Pulls from its PacketQueue.
 class LinkTransmitter final : public Connector {
  public:
-  LinkTransmitter(Simulator* sim, double bandwidth_bps, double delay_s,
-                  std::size_t burst_packets = 1)
-      : sim_(sim),
-        bandwidth_bps_(bandwidth_bps),
-        delay_s_(delay_s),
-        burst_(burst_packets > 1 ? burst_packets : 1) {}
+  LinkTransmitter(Simulator* sim, double bandwidth_bps, double delay_s)
+      : sim_(sim), bandwidth_bps_(bandwidth_bps), delay_s_(delay_s) {}
 
   /// Direct injection (used when there is no queue, e.g. unit tests).
   void recv(PacketPtr p) override;
@@ -45,31 +31,21 @@ class LinkTransmitter final : public Connector {
   bool idle() const noexcept { return !busy_; }
   double bandwidth_bps() const noexcept { return bandwidth_bps_; }
   double delay_s() const noexcept { return delay_s_; }
-  std::size_t burst_packets() const noexcept { return burst_; }
 
   std::uint64_t packets_delivered() const noexcept { return delivered_; }
   std::uint64_t bytes_delivered() const noexcept { return bytes_; }
-  std::uint64_t bursts_delivered() const noexcept { return bursts_; }
 
  private:
   void try_pull();
   void transmit(PacketPtr p);
-  /// Serializes train_ onto the wire as one back-to-back departure.
-  void transmit_train();
 
   Simulator* sim_;
   double bandwidth_bps_;
   double delay_s_;
-  std::size_t burst_;
   PacketQueue* queue_ = nullptr;
   bool busy_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t bursts_ = 0;
-  std::vector<PacketPtr> train_;  ///< burst-mode staging
-  /// Buffers returned by delivered trains; try_pull recycles them so
-  /// steady-state bursting performs no per-train allocation.
-  std::vector<std::vector<PacketPtr>> spare_trains_;
 };
 
 /// One-directional link between two nodes.
@@ -79,10 +55,6 @@ class SimplexLink {
     double bandwidth_bps = 10e6;
     double delay_s = 0.010;
     std::size_t queue_capacity_packets = 64;
-    /// Departure coalescing: the transmitter serializes up to this many
-    /// queued packets back-to-back and delivers them as one span (see
-    /// LinkTransmitter). 1 = per-packet delivery (legacy semantics).
-    std::size_t burst_packets = 1;
   };
 
   SimplexLink(Simulator* sim, NodeId from, NodeId to, Config cfg);
@@ -98,12 +70,10 @@ class SimplexLink {
   /// queue. Ownership transfers to the link.
   void add_head_filter(std::unique_ptr<Connector> c);
 
-  /// Inserts a connector after the transmitter (post-queue, post-drop),
-  /// before delivery to the endpoint: it sees what actually crossed the
-  /// link, including whole bursts in burst mode. An InlineFilter here is
-  /// the receiving-side filtering point (location = to(), wired to the
-  /// drop handler). Ownership transfers to the link.
-  void add_tail_tap(std::unique_ptr<Connector> c);
+  /// Inserts a tap after the transmitter (post-queue, post-drop), before
+  /// delivery to the endpoint: it sees what actually crossed the link.
+  /// Ownership transfers to the link.
+  void add_tail_tap(std::unique_ptr<TapConnector> c);
 
   /// Installs the drop handler on the queue (and remembers it so future
   /// filters can reuse it).
@@ -125,7 +95,7 @@ class SimplexLink {
   NodeId to_;
   Config cfg_;
   std::vector<std::unique_ptr<Connector>> heads_;
-  std::vector<std::unique_ptr<Connector>> tails_;
+  std::vector<std::unique_ptr<TapConnector>> tails_;
   std::unique_ptr<PacketQueue> queue_;
   std::unique_ptr<LinkTransmitter> tx_;
   Connector* endpoint_ = nullptr;

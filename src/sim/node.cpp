@@ -64,53 +64,6 @@ void Node::handle_packet(PacketPtr p) {
   out->entry()->recv(std::move(p));
 }
 
-void Node::handle_burst(PacketPtr* pkts, std::size_t n) {
-  // Forward maximal contiguous same-next-hop runs as one span; local
-  // deliveries and drops are handled in place and end the current run.
-  std::size_t run_start = 0;
-  SimplexLink* run_link = nullptr;
-  const auto flush = [&](std::size_t end) {
-    if (run_link != nullptr && end > run_start) {
-      run_link->entry()->recv_burst(pkts + run_start, end - run_start);
-    }
-    run_link = nullptr;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    Packet& p = *pkts[i];
-    SimplexLink* out = nullptr;
-    if (p.label.dst != addr_) {
-      if (p.ttl == 0 || --p.ttl == 0) {
-        flush(i);
-        ++stats_.dropped_ttl;
-        drop(p, DropReason::kTtlExpired);
-        pkts[i].reset();
-        continue;
-      }
-      out = route_for(p.label.dst);
-      if (out == nullptr) {
-        flush(i);
-        ++stats_.dropped_no_route;
-        drop(p, DropReason::kNoRoute);
-        pkts[i].reset();
-        continue;
-      }
-    }
-    if (out == nullptr) {  // local delivery
-      flush(i);
-      deliver_local(std::move(pkts[i]));
-      continue;
-    }
-    ++stats_.forwarded;
-    if (out != run_link) {
-      flush(i);
-      run_link = out;
-      run_start = i;
-    }
-  }
-  flush(n);
-}
-
 void Node::deliver_local(PacketPtr p) {
   const auto it = ports_.find(p->label.dport);
   if (it == ports_.end()) {

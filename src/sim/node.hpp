@@ -54,12 +54,6 @@ class Node {
   /// Arrival from a link (or loopback). Delivers locally or forwards.
   void handle_packet(PacketPtr p);
 
-  /// Burst arrival: delivers/forwards each packet in order, re-forming
-  /// bursts on the way out — maximal contiguous runs with the same
-  /// next-hop link leave as one span, so bursts survive routing hops and
-  /// reach downstream batch consumers intact.
-  void handle_burst(PacketPtr* pkts, std::size_t n);
-
   /// Ingress connector handed to incoming links as their endpoint.
   Connector* entry() noexcept { return &entry_; }
 
@@ -96,9 +90,6 @@ class Node {
    public:
     explicit Entry(Node* n) : node_(n) {}
     void recv(PacketPtr p) override { node_->handle_packet(std::move(p)); }
-    void recv_burst(PacketPtr* pkts, std::size_t n) override {
-      node_->handle_burst(pkts, n);
-    }
 
    private:
     Node* node_;

@@ -30,32 +30,6 @@ class PacketQueue : public Connector {
   /// Next buffered packet, or null when empty.
   virtual PacketPtr dequeue() = 0;
 
-  /// Burst arrival: buffers the whole span (per-packet accept/drop rules
-  /// unchanged) and signals the transmitter ONCE at the end, so an idle
-  /// transmitter in burst mode pulls the span as one train instead of
-  /// racing the first packet out alone.
-  void recv_burst(PacketPtr* pkts, std::size_t n) final {
-    defer_ready_ = true;
-    for (std::size_t i = 0; i < n; ++i) recv(std::move(pkts[i]));
-    defer_ready_ = false;
-    notify_ready();
-  }
-
-  /// Drains up to `max` buffered packets into `out`, preserving FIFO
-  /// order; returns how many were taken. The transmitter's burst mode
-  /// pulls departures through this so back-to-back packets leave as one
-  /// span. The default loops dequeue(), so every queue discipline keeps
-  /// its per-packet accounting.
-  virtual std::size_t dequeue_burst(PacketPtr* out, std::size_t max) {
-    std::size_t n = 0;
-    while (n < max) {
-      PacketPtr p = dequeue();
-      if (!p) break;
-      out[n++] = std::move(p);
-    }
-    return n;
-  }
-
   virtual std::size_t depth_packets() const noexcept = 0;
   virtual std::size_t depth_bytes() const noexcept = 0;
 
@@ -76,7 +50,6 @@ class PacketQueue : public Connector {
   }
 
   void notify_ready() {
-    if (defer_ready_) return;  // one signal at the end of a burst
     if (ready_) ready_();
   }
 
@@ -86,7 +59,6 @@ class PacketQueue : public Connector {
   DropHandler drop_handler_;
   std::function<void()> ready_;
   NodeId location_ = kInvalidNode;
-  bool defer_ready_ = false;
 };
 
 /// Classic drop-tail FIFO bounded in packets (and optionally bytes).

@@ -121,10 +121,7 @@ AccessLink& Domain::attach_host(std::optional<sim::NodeId> router) {
   acfg.bandwidth_bps = cfg_.access_bandwidth_bps;
   acfg.delay_s = cfg_.access_delay_s;
   acfg.queue_capacity_packets = cfg_.access_queue_packets;
-  // Burst mode applies to the ingress direction only: the uplink is what
-  // feeds the ATR's (batch-capable) defense filter.
   sim::SimplexLink* down = net_->add_simplex(r, h->id(), acfg);
-  acfg.burst_packets = cfg_.access_uplink_burst_packets;
   sim::SimplexLink* up = net_->add_simplex(h->id(), r, acfg);
   access_.push_back(AccessLink{r, h->id(), /*uplink=*/up, /*downlink=*/down});
   return access_.back();

@@ -30,11 +30,6 @@ struct DomainConfig {
   double access_bandwidth_bps = 20e6;
   double access_delay_s = 0.001;
   std::size_t access_queue_packets = 100;
-  /// Departure coalescing on host->router uplinks (the ingress direction
-  /// the ATR defense filters): back-to-back departures leave as one span
-  /// of up to this many packets (SimplexLink::Config::burst_packets).
-  /// 1 = per-packet delivery (legacy).
-  std::size_t access_uplink_burst_packets = 1;
 
   // The victim's last-hop link is the contended resource.
   double victim_bandwidth_bps = 10e6;

@@ -8,7 +8,6 @@
 #include "baseline/aggregate_limiter.hpp"
 #include "baseline/proportional_dropper.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace mafic::baseline {
 namespace {
@@ -84,9 +83,7 @@ TEST(ProportionalDropper, DeactivateStopsDropping) {
 
 // Fate of every packet pushed through a dropper: uid -> dropped?
 std::map<std::uint64_t, bool> run_fates(ProportionalDropper& d,
-                                        std::vector<sim::PacketPtr> pkts,
-                                        bool as_burst,
-                                        std::size_t span = 7) {
+                                        std::vector<sim::PacketPtr> pkts) {
   std::map<std::uint64_t, bool> fate;
   class Sink final : public sim::Connector {
    public:
@@ -97,14 +94,7 @@ std::map<std::uint64_t, bool> run_fates(ProportionalDropper& d,
   d.set_target(&sink);
   d.set_drop_handler([&](const sim::Packet& p, sim::DropReason,
                          sim::NodeId) { fate[p.uid] = true; });
-  if (as_burst) {
-    for (std::size_t i = 0; i < pkts.size(); i += span) {
-      const std::size_t n = std::min(span, pkts.size() - i);
-      d.recv_burst(pkts.data() + i, n);
-    }
-  } else {
-    for (auto& p : pkts) d.recv(std::move(p));
-  }
+  for (auto& p : pkts) d.recv(std::move(p));
   return fate;
 }
 
@@ -121,28 +111,24 @@ std::vector<sim::PacketPtr> coin_workload(bool reversed = false) {
   return pkts;
 }
 
-TEST(ProportionalDropper, PacketHashCoinIsOrderAndBatchInvariant) {
+TEST(ProportionalDropper, PacketHashCoinIsOrderInvariant) {
   // The stateless coin (the Pd coin FilterEngine uses) must give each
-  // packet the same fate through per-packet recv, through burst spans,
-  // and in reversed inspection order — none of which would hold for a
-  // stateful generator.
+  // packet the same fate in arrival and in reversed inspection order,
+  // which would not hold for a stateful generator.
   const auto fresh = [] {
     ProportionalDropper d(0.7, 0xfeedULL);
     d.activate({kVictim});
     return d;
   };
   ProportionalDropper scalar = fresh();
-  ProportionalDropper burst = fresh();
-  ProportionalDropper burst_rev = fresh();
-  const auto fate_scalar = run_fates(scalar, coin_workload(), false);
-  const auto fate_burst = run_fates(burst, coin_workload(), true);
-  const auto fate_rev = run_fates(burst_rev, coin_workload(true), true);
+  ProportionalDropper reversed = fresh();
+  const auto fate_scalar = run_fates(scalar, coin_workload());
+  const auto fate_rev = run_fates(reversed, coin_workload(true));
   ASSERT_EQ(fate_scalar.size(), 200u);
-  EXPECT_EQ(fate_scalar, fate_burst);
   EXPECT_EQ(fate_scalar, fate_rev);
   EXPECT_EQ(scalar.stats().offered, 200u);
-  EXPECT_EQ(scalar.stats().dropped, burst.stats().dropped);
-  EXPECT_EQ(scalar.stats().forwarded, burst_rev.stats().forwarded);
+  EXPECT_EQ(scalar.stats().dropped, reversed.stats().dropped);
+  EXPECT_EQ(scalar.stats().forwarded, reversed.stats().forwarded);
 
   // Golden pin at (pd=0.7, seed=0xfeed): exact drop count, so the coin
   // construction cannot drift silently.
@@ -173,8 +159,8 @@ TEST(ProportionalDropper, PacketHashCoinHitsConfiguredRate) {
   never.activate({kVictim});
   ProportionalDropper always(1.0, 1);
   always.activate({kVictim});
-  const auto none = run_fates(never, coin_workload(), true);
-  const auto all = run_fates(always, coin_workload(), true);
+  const auto none = run_fates(never, coin_workload());
+  const auto all = run_fates(always, coin_workload());
   for (const auto& [uid, dropped] : none) EXPECT_FALSE(dropped) << uid;
   for (const auto& [uid, dropped] : all) EXPECT_TRUE(dropped) << uid;
 }
@@ -231,81 +217,6 @@ TEST(AggregateLimiter, UnderLimitTrafficPasses) {
   sim.run();
   EXPECT_EQ(forwarded, 500u);
   EXPECT_EQ(lim.stats().dropped, 0u);
-}
-
-TEST(AggregateLimiter, BurstPathBitIdenticalToPerPacket) {
-  // The token-bucket batch path (one refill per span, no per-packet
-  // virtual dispatch) must produce exactly the verdict sequence, stats
-  // and token state of recv()ing the same packets one by one.
-  sim::Simulator sim;
-  AggregateLimiter::Config cfg;
-  cfg.limit_bps = 123457.0;  // odd rate: fractional token arithmetic
-  cfg.burst_bytes = 3333.25;
-  AggregateLimiter per_packet(&sim, cfg);
-  AggregateLimiter burst(&sim, cfg);
-  per_packet.activate({kVictim});
-  burst.activate({kVictim});
-
-  // Per-packet verdicts keyed by uid (recv_burst compacts drops before
-  // forwarding the surviving span, so raw recording order differs within
-  // a span even when every per-packet verdict matches).
-  std::map<std::uint64_t, char> seq_a, seq_b;
-  class Sink final : public sim::Connector {
-   public:
-    explicit Sink(std::map<std::uint64_t, char>* s) : s_(s) {}
-    void recv(sim::PacketPtr p) override { (*s_)[p->uid] = 'F'; }
-    std::map<std::uint64_t, char>* s_;
-  } sink_a(&seq_a), sink_b(&seq_b);
-  per_packet.set_target(&sink_a);
-  burst.set_target(&sink_b);
-  per_packet.set_drop_handler(
-      [&](const sim::Packet& p, sim::DropReason, sim::NodeId) {
-        seq_a[p.uid] = 'D';
-      });
-  burst.set_drop_handler(
-      [&](const sim::Packet& p, sim::DropReason, sim::NodeId) {
-        seq_b[p.uid] = 'D';
-      });
-
-  // Irregular spans at irregular times, with non-victim packets mixed in
-  // (they must pass without touching the bucket on either path).
-  util::Rng rng(20260729);
-  std::uint64_t next_uid = 1;
-  for (int span = 0; span < 60; ++span) {
-    const double t = 0.0007 + span * 0.00173;
-    std::vector<std::uint32_t> sizes;
-    std::vector<bool> to_victim;
-    std::vector<std::uint64_t> uids;
-    const std::size_t n = 1 + rng.index(9);
-    for (std::size_t i = 0; i < n; ++i) {
-      sizes.push_back(40 + std::uint32_t(rng.index(1461)));
-      to_victim.push_back(rng.index(5) != 0);
-      uids.push_back(next_uid++);
-    }
-    sim.schedule_at(t, [&, sizes, to_victim, uids] {
-      std::vector<sim::PacketPtr> span_pkts;
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const util::Addr dst = to_victim[i] ? kVictim : kOther;
-        auto one = victim_packet(dst, sizes[i]);
-        one->uid = uids[i];
-        per_packet.recv(std::move(one));
-        auto two = victim_packet(dst, sizes[i]);
-        two->uid = uids[i];
-        span_pkts.push_back(std::move(two));
-      }
-      burst.recv_burst(span_pkts.data(), span_pkts.size());
-    });
-  }
-  sim.run();
-
-  EXPECT_GT(seq_a.size(), 0u);
-  bool any_drop = false;
-  for (const auto& [uid, v] : seq_a) any_drop = any_drop || v == 'D';
-  EXPECT_TRUE(any_drop);  // the bucket did bind
-  EXPECT_EQ(seq_a, seq_b);
-  EXPECT_EQ(per_packet.stats().offered, burst.stats().offered);
-  EXPECT_EQ(per_packet.stats().forwarded, burst.stats().forwarded);
-  EXPECT_EQ(per_packet.stats().dropped, burst.stats().dropped);
 }
 
 TEST(AggregateLimiter, BurstAllowsShortSpikes) {

@@ -4,8 +4,8 @@
 // decisions for 1 and N shards, because all cross-flow coupling (tables,
 // timers, RTT estimates, coins) is gone; and (2) the end-to-end golden
 // equivalence: two full Experiments differing only in num_shards (1 vs
-// 4), with burst links, produce identical classification decisions,
-// probe counts and metrics at a fixed seed.
+// 4) produce identical classification decisions, probe counts and
+// metrics at a fixed seed.
 
 #include "core/mafic_filter.hpp"
 
@@ -159,16 +159,12 @@ TEST(MaficFilterShards, ShardPartitionIsRespected) {
 
 /// The tentpole acceptance property: full figure-bench-shaped runs that
 /// differ only in num_shards make identical classification decisions.
-/// The uplinks coalesce departures into bursts of 8, but the filters sit
-/// before the queue and inspect one packet at a time: the bursts shape
-/// the arrival order downstream, not the filter's path.
-TEST(ShardedExperiment, GoldenEquivalenceScalarVsShardedWithBursts) {
+TEST(ShardedExperiment, GoldenEquivalenceScalarVsSharded) {
   scenario::ExperimentConfig base;
   base.seed = 7;
   base.total_flows = 24;
   base.router_count = 10;
   base.end_time = 6.0;
-  base.link_burst_size = 8;
 
   const auto run = [&](std::size_t shards) {
     scenario::ExperimentConfig cfg = base;
@@ -205,63 +201,8 @@ TEST(ShardedExperiment, GoldenEquivalenceScalarVsShardedWithBursts) {
   EXPECT_FALSE(std::isnan(one.metrics.alpha));
 }
 
-/// A span handed to recv_burst must come out exactly as per-packet recv()
-/// would leave it — the claim MaficFilter's inspect_burst override makes.
-/// The default per-packet inspect_burst meets it too, so this pins the
-/// outcome, not that the override runs.
-TEST(MaficFilterBurst, BatchedVerdictsMatchPerPacketRecv) {
-  MaficConfig cfg;
-  cfg.default_rtt = 0.04;
-  cfg.drop_probability = 0.9;
-  cfg.probe_enabled = false;
-  cfg.coin_seed = 0xabcdULL;  // coins follow (seed, key, uid)
-
-  class UidSink final : public sim::Connector {
-   public:
-    void recv(sim::PacketPtr p) override { uids.push_back(p->uid); }
-    std::vector<std::uint64_t> uids;
-  };
-
-  const auto run = [&](bool bursty) {
-    sim::Simulator sim;
-    sim::Network net(&sim);
-    sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
-    sim::PacketFactory factory;
-    MaficFilter filter(&sim, &factory, atr, cfg, nullptr);
-    UidSink sink;
-    filter.set_target(&sink);
-    filter.activate({util::make_addr(172, 17, 0, 1)});
-
-    std::vector<sim::PacketPtr> span;
-    for (std::uint32_t i = 0; i < 300; ++i) {
-      auto p = factory.make();
-      p->label = label_for(i % 24);
-      p->proto = sim::Protocol::kTcp;
-      p->size_bytes = 1000;
-      if (!bursty) {
-        filter.recv(std::move(p));
-        continue;
-      }
-      span.push_back(std::move(p));
-      if (span.size() == 7) {
-        filter.recv_burst(span.data(), span.size());
-        span.clear();
-      }
-    }
-    if (!span.empty()) filter.recv_burst(span.data(), span.size());
-    return std::pair{sink.uids, filter.stats().dropped_probation};
-  };
-
-  const auto per_packet = run(false);
-  const auto batched = run(true);
-  EXPECT_EQ(per_packet.first, batched.first);  // same survivors, in order
-  EXPECT_EQ(per_packet.second, batched.second);
-  EXPECT_GT(per_packet.second, 0u);
-}
-
 /// Every shard's probe requests reach the wire: the per-shard counts of a
-/// 4-shard run add up to the run's probe total. (The filter sits before
-/// the uplink queue, so link bursts never reach it.)
+/// 4-shard run add up to the run's probe total.
 TEST(ShardedExperiment, PerShardProbesSumToTheRunTotal) {
   scenario::ExperimentConfig cfg;
   cfg.seed = 11;
@@ -269,7 +210,6 @@ TEST(ShardedExperiment, PerShardProbesSumToTheRunTotal) {
   cfg.router_count = 10;
   cfg.end_time = 5.0;
   cfg.num_shards = 4;
-  cfg.link_burst_size = 8;
 
   scenario::Experiment exp(cfg);
   const scenario::ExperimentResult r = exp.run();

@@ -104,9 +104,9 @@ TEST(DetectorCatalog, GoldenDetectorFingerprints) {
   // control-plane decision shift re-opens these on purpose; regenerate
   // with   ./build/example_scenario_catalog --detector
   const std::map<std::string, std::uint64_t> golden = {
-      {"carpet_bomb+detector", 0xae24dd0a64ccaebcULL},
-      {"spoof_churn+detector", 0x5e4e192b44a6fb73ULL},
-      {"pulse_shrew+detector_unlatched", 0x2bd2db6fc921dfddULL},
+      {"carpet_bomb+detector", 0xbd990f04aa8679e6ULL},
+      {"spoof_churn+detector", 0x897565174bb7edd5ULL},
+      {"pulse_shrew+detector_unlatched", 0xde7effd903e4168fULL},
   };
   const Strategy scalar = equivalence_strategies().front();
   for (const DetectorCase& c : kCases) {

@@ -112,12 +112,12 @@ TEST(ScenarioCatalog, GoldenFingerprints) {
   // decision shift anywhere re-opens these on purpose; regenerate with
   //   ./build/example_scenario_catalog --smoke
   const std::map<std::string, std::uint64_t> golden = {
-      {"pulse_shrew", 0x1ec2ccf4081fe36aULL},
-      {"flash_crowd", 0x2669b8cc4aaded01ULL},
-      {"udp_flood", 0x2a707b622384f52fULL},
-      {"carpet_bomb", 0x6e3b31489d3105bdULL},
-      {"spoof_churn", 0xf9b2493a1ecca148ULL},
-      {"mixed_background", 0xca57a66ff6567272ULL},
+      {"pulse_shrew", 0x417e611ee910d8d8ULL},
+      {"flash_crowd", 0x39adf33f49da441bULL},
+      {"udp_flood", 0xe6233e3d8b9d734fULL},
+      {"carpet_bomb", 0x457461b9ecbb4973ULL},
+      {"spoof_churn", 0xcbf5b59315a9a06aULL},
+      {"mixed_background", 0xdef39a953144d161ULL},
   };
   const Strategy scalar = equivalence_strategies().front();
   for (const auto& e : catalog()) {

@@ -1,7 +1,7 @@
 // Model-based randomized tests: the event queue against a reference
 // implementation, end-to-end conservation checks on random topologies,
-// and a span fuzzer over the sharded datapath's partition / in-order
-// walk / survivor compaction round trip.
+// and a fuzzer that checks a sharded MaficFilter's drops and survivors
+// partition its input stream.
 
 #include <gtest/gtest.h>
 
@@ -158,71 +158,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConservationFuzz,
 
 class ShardSpanFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Span fuzzer: random spans handed to a MaficFilter's recv_burst — the
-// filter's verdicts plus survivor compaction must reconstruct the
-// original arrival order exactly and never drop or duplicate a packet
-// uid. With Pd = 0 nothing is ever admitted or dropped, so the forwarded
-// stream IS the round trip. The batched override is verdict-identical to
-// per-packet inspection by design, so this checks the outcome, not which
-// of the two paths ran.
-TEST_P(ShardSpanFuzz, PartitionMergeReconstructsArrivalOrder) {
-  util::Rng rng(GetParam());
-  const std::size_t shards = std::size_t{1} << rng.index(4);   // 1..8
-
-  Simulator sim;
-  Network net(&sim);
-  Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
-  PacketFactory factory;
-
-  core::MaficConfig cfg;
-  cfg.drop_probability = 0.0;  // forward everything: pure order check
-  cfg.probe_enabled = false;
-  core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr, shards);
-  class UidSink final : public Connector {
-   public:
-    void recv(PacketPtr p) override { uids.push_back(p->uid); }
-    std::vector<std::uint64_t> uids;
-  } sink;
-  filter.set_target(&sink);
-  filter.activate({util::make_addr(172, 17, 0, 1)});
-
-  std::vector<std::uint64_t> sent;
-  double t = 0.001;
-  for (int burst = 0; burst < 200; ++burst) {
-    const std::size_t n = 1 + rng.index(64);
-    sim.schedule_at(t, [&, n] {
-      std::vector<PacketPtr> span;
-      for (std::size_t i = 0; i < n; ++i) {
-        auto p = factory.make();
-        const auto f = static_cast<std::uint32_t>(rng.index(512));
-        // ~1/5 cold packets (non-victim destination) so the fuzz mixes
-        // inspected and pass-through packets within one span.
-        const bool cold = rng.index(5) == 0;
-        p->label = {util::make_addr(172, 16, (f >> 8) & 0xff, f & 0xff),
-                    cold ? util::make_addr(172, 18, 0, 1)
-                         : util::make_addr(172, 17, 0, 1),
-                    std::uint16_t(1024 + f), 80};
-        p->proto = Protocol::kTcp;
-        p->size_bytes = 500;
-        sent.push_back(p->uid);
-        span.push_back(std::move(p));
-      }
-      filter.recv_burst(span.data(), span.size());
-    });
-    t += 0.0005;
-  }
-  sim.run();
-
-  // Exact reconstruction: same uids, same order, nothing lost or doubled.
-  EXPECT_EQ(sink.uids, sent);
-  std::unordered_set<std::uint64_t> unique(sink.uids.begin(),
-                                           sink.uids.end());
-  EXPECT_EQ(unique.size(), sink.uids.size());
-}
-
-// The same round trip with Pd = 0.9: drops thin the stream, but the
-// survivors plus the dropped uids must partition the input — order
-// preserved among survivors, no uid lost, none seen twice.
+// Span fuzzer: random groups of packets arrive at one instant and a
+// MaficFilter recv()s them in order, with Pd = 0.9: drops thin the
+// stream, but the survivors plus the dropped uids must partition the
+// input — order preserved among survivors, no uid lost, none seen twice.
 TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
   util::Rng rng(GetParam() * 977 + 1);
   const std::size_t shards = std::size_t{1} << rng.index(4);
@@ -236,7 +175,7 @@ TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
   cfg.drop_probability = 0.9;
   cfg.coin_seed = GetParam();
   cfg.probe_enabled = false;
-  cfg.sft_capacity = 8;  // force mid-burst capacity evictions too
+  cfg.sft_capacity = 8;  // force mid-group capacity evictions too
   core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr, shards);
   class UidSink final : public Connector {
    public:
@@ -251,10 +190,9 @@ TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
 
   std::vector<std::uint64_t> sent;
   double t = 0.001;
-  for (int burst = 0; burst < 150; ++burst) {
+  for (int group = 0; group < 150; ++group) {
     const std::size_t n = 1 + rng.index(64);
     sim.schedule_at(t, [&, n] {
-      std::vector<PacketPtr> span;
       for (std::size_t i = 0; i < n; ++i) {
         auto p = factory.make();
         const auto f = static_cast<std::uint32_t>(rng.index(96));
@@ -264,9 +202,8 @@ TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
         p->proto = Protocol::kTcp;
         p->size_bytes = 500;
         sent.push_back(p->uid);
-        span.push_back(std::move(p));
+        filter.recv(std::move(p));
       }
-      filter.recv_burst(span.data(), span.size());
     });
     t += 0.001;
   }
