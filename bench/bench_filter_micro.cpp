@@ -88,7 +88,7 @@ void BM_MaficFilterSteadyState(benchmark::State& state) {
   // the wheel's decision timers resolve every probation into NFT/PDT.
   // The measured loop is then the true steady state (zero admissions).
   for (int round = 0; round < 8; ++round) {
-    const auto& tables = filter->engine(0).tables();
+    const auto& tables = filter->engine().tables();
     if (tables.nft_size() + tables.pdt_size() >= population) break;
     for (const auto& label : labels) {
       const std::uint64_t key = sim::hash_label(label);

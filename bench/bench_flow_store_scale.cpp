@@ -21,14 +21,12 @@
 //      cross-class payer walk (under-quota reclaim from the most
 //      over-quota class) fires every iteration, not just the self-pay
 //      fast path;
-//   5. sharded sim equivalence holds with per-victim quotas on as well
-//      as off (per-shard quota state is strictly shard-local);
 //   8. the generated-scenario price: the catalog's probation-heavy
 //      spoof_churn entry (scenario_spoof_churn_t0 tier) runs end-to-end
-//      through the 4-shard sim, and its ns per offered packet lands in
+//      through the simulator, and its ns per offered packet lands in
 //      the trajectory.
-// (Numbers 6 and 7 are unused: claim numbers match docs/BENCHMARKS.md,
-// where those two name retired trajectory tiers.)
+// (Numbers 5, 6 and 7 are unused: claim numbers match docs/BENCHMARKS.md,
+// where those three are retired.)
 //
 // Sharding driver: one thread per shard when the hardware has the cores;
 // on smaller machines the shards run back-to-back on one core and the
@@ -228,7 +226,7 @@ InspectResult steady_state_inspect(std::uint64_t population,
   // Warmup rounds: every still-untabled flow offers one packet per round
   // (Pd = 0.9 admits most on first sight); advancing the clock fires the
   // wheel's decision timers, resolving each probation into NFT/PDT.
-  const auto& tables = filter.engine(0).tables();
+  const auto& tables = filter.engine().tables();
   for (int round = 0; round < 80; ++round) {
     if (tables.nft_size() + tables.pdt_size() >= population) break;
     for (std::uint64_t i = 0; i < population; ++i) {
@@ -555,68 +553,16 @@ double run_admission_flood_quota(std::uint64_t iterations,
   return best / static_cast<double>(2 * iterations);
 }
 
-/// End-to-end sharded-simulation gate: a fixed-seed figure-bench-shaped
-/// run with num_shards = 4 must make classification decisions identical
-/// to the scalar (num_shards = 1) path — once with the legacy global
-/// eviction ring and once with per-victim quotas on (extra victim +
-/// sft_victim_quota; per-shard quota accounting is shard-local, so the
-/// sums must stay deterministic). Returns true when both comparisons
-/// match.
-bool check_sim_sharded_equivalence() {
-  scenario::ExperimentConfig base;
-  base.seed = 42;
-  base.total_flows = 32;
-  base.router_count = 12;
-  base.end_time = 6.0;
-
-  bool all_ok = true;
-  for (const bool quotas : {false, true}) {
-    const auto run = [&](std::size_t shards) {
-      scenario::ExperimentConfig cfg = base;
-      cfg.num_shards = shards;
-      if (quotas) {
-        cfg.extra_victims = 1;
-        cfg.sft_victim_quota = 0.25;
-      }
-      scenario::Experiment exp(cfg);
-      return exp.run();
-    };
-    const scenario::ExperimentResult scalar = run(1);
-    const scenario::ExperimentResult sharded = run(4);
-
-    const bool ok =
-        scalar.sft_admissions == sharded.sft_admissions &&
-        scalar.sft_evictions == sharded.sft_evictions &&
-        scalar.quota_evictions == sharded.quota_evictions &&
-        scalar.moved_to_nft == sharded.moved_to_nft &&
-        scalar.moved_to_pdt == sharded.moved_to_pdt &&
-        scalar.screened_sources == sharded.screened_sources &&
-        scalar.probes_issued == sharded.probes_issued &&
-        scalar.events_processed == sharded.events_processed &&
-        scalar.sft_admissions > 0;
-    std::printf("\nsharded sim equivalence (quotas %s): scalar "
-                "%llu->NFT %llu->PDT vs 4-shard %llu->NFT %llu->PDT: %s\n",
-                quotas ? "on" : "off",
-                static_cast<unsigned long long>(scalar.moved_to_nft),
-                static_cast<unsigned long long>(scalar.moved_to_pdt),
-                static_cast<unsigned long long>(sharded.moved_to_nft),
-                static_cast<unsigned long long>(sharded.moved_to_pdt),
-                ok ? "identical" : "DIVERGED");
-    all_ok = all_ok && ok;
-  }
-  return all_ok;
-}
-
 // ---- scenario-catalog tier: probation-heavy generated workload -------------
 
 /// End-to-end price of the catalog's probation-heavy shape: spoof_churn
-/// (every rotation orphans a tableful of SFT probations and refills it
-/// with fresh suspects — SFT admission/eviction churn dominates, the
-/// path none of the steady-state tiers above exercises). The nominal
-/// catalog entry is internet-scale; this tier runs the same spec at a
-/// reduced-but-nontrivial size through the 4-shard sim datapath, best of
-/// three deterministic runs. The row is wall ns per offered packet,
-/// tagged serial per the threads convention.
+/// (every rotation re-spoofs the army's sources, so each rotation opens
+/// a fresh round of SFT admissions and decision timers — the path none
+/// of the steady-state tiers above exercises). The nominal catalog entry
+/// is internet-scale; this tier runs the same spec at a
+/// reduced-but-nontrivial size through the sim datapath, best of three
+/// deterministic runs. The row is wall ns per offered packet, tagged
+/// serial per the threads convention.
 bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   const scenario::CatalogEntry* entry =
       scenario::find_scenario("spoof_churn");
@@ -626,11 +572,10 @@ bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   }
   scenario::ScenarioSpec spec = entry->spec;
   // Bench scale: large enough that table churn (not setup) dominates the
-  // wall clock, small enough for best-of-3 in CI. The SFT is
-  // shrunk below the army size and the churn outpaces the decision
-  // timers, so every per-shard table runs near probation-full for the
-  // whole attack window (the admission + decision-timer path is the
-  // measured cost; the eviction column is printed for the record).
+  // wall clock, small enough for best-of-3 in CI. The tier prices
+  // admissions and decision timers, with zero evictions: each MaficFilter
+  // guards one host's uplink, so no table comes near even the shrunken
+  // SFT capacity (the eviction column is printed for the record).
   spec.legit_flows = 400;
   spec.zombies = 300;
   spec.attack_total_bps = 8e6;
@@ -639,9 +584,6 @@ bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   spec.end_time = 8.0;
 
   constexpr const char* kName = "scenario_spoof_churn_t0";
-  scenario::Strategy strat;
-  strat.label = kName;
-  strat.num_shards = 4;
 
   std::printf("\nscenario catalog tier: spoof_churn (probation-heavy), "
               "%zu legit + %zu zombies, SFT capacity %zu\n",
@@ -655,7 +597,7 @@ bool run_scenario_catalog_tier(std::vector<bench::BenchRecord>* records) {
   // scheduler noise.
   for (int pass = 0; pass < 3; ++pass) {
     const double start = now_ns();
-    scenario::ScenarioOutcome r = scenario::run_scenario(spec, strat);
+    scenario::ScenarioOutcome r = scenario::run_scenario(spec);
     const double elapsed = now_ns() - start;
     if (pass == 0 || elapsed < best) best = elapsed;
     out = std::move(r);
@@ -863,13 +805,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(quota_flood_reclaims),
                  static_cast<unsigned long long>(std::uint64_t(kBestOfPasses) *
                                                  kQuotaIters));
-    ok = false;
-  }
-
-  // ---- sharded datapath inside the simulator ---------------------------
-  if (!check_sim_sharded_equivalence()) {
-    std::fprintf(stderr,
-                 "FAIL: 4-shard sim decisions diverged from scalar\n");
     ok = false;
   }
 

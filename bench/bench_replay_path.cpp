@@ -2,11 +2,11 @@
 // simulator out of the loop. Pre-generated in-memory traces drive
 // FilterEngine / ShardedFilter directly — no sim::Simulator, no event
 // heap, no PacketPtr lifecycle — so the reported packets/sec is the
-// datapath's own, and pairing every replay tier with a sim-driven twin
-// (the same trace delivered through a MaficFilter by scheduled simulator
-// events, each recv()ing its group of packets in order) turns "sim
-// overhead" into a visible number instead of a confound baked into every
-// published tier.
+// datapath's own, and pairing the single-engine replay tiers with a
+// sim-driven twin (the same trace delivered through a MaficFilter by
+// scheduled simulator events, each recv()ing its group of packets in
+// order) turns "sim overhead" into a visible number instead of a
+// confound baked into every published tier.
 //
 // Trace tiers, each stationary by construction:
 //   steady     — whole population resolved into the NFT; uniform-random
@@ -457,13 +457,13 @@ class CountingSink final : public sim::Connector {
 /// ns/pkt delta against the replay tier is the simulator's own cost —
 /// event heap, PacketPtr lifecycle, connector dispatch — on top of an
 /// identical classify workload.
-double run_sim_twin(const Fixture& fx, std::size_t shards,
-                    const std::vector<sim::Packet>& trace, int passes) {
+double run_sim_twin(const Fixture& fx, const std::vector<sim::Packet>& trace,
+                    int passes) {
   sim::Simulator sim;
   sim::Network net(&sim);
   sim::PacketFactory factory;
   sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
-  core::MaficFilter filter(&sim, &factory, atr, fx.cfg, nullptr, shards);
+  core::MaficFilter filter(&sim, &factory, atr, fx.cfg, nullptr);
   CountingSink sink;
   filter.set_target(&sink);
   filter.activate({kVictim});
@@ -602,8 +602,7 @@ int main(int argc, char** argv) {
     push("replay_steady", double(kSteadyFlows), pipe);
     push("replay_steady_ref", double(kSteadyFlows), ref);
     push("replay_steady_scalar", double(kSteadyFlows), scalar);
-    const double twin =
-        run_sim_twin(fx, 1, trace, kTwinPasses);
+    const double twin = run_sim_twin(fx, trace, kTwinPasses);
     std::printf("  steady sim twin: %.2f ns/pkt (sim overhead %.2f)\n",
                 twin, twin - pipe.ns_per_packet);
     push_twin("sim_twin_steady", double(kSteadyFlows), twin);
@@ -651,7 +650,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(kProbFlows),
                 pipe.ns_per_packet, pipe.cycles_per_packet, lr);
     push("replay_probation", double(kProbFlows), pipe, lr);
-    const double twin = run_sim_twin(fx, 1, trace, kTwinPasses);
+    const double twin = run_sim_twin(fx, trace, kTwinPasses);
     std::printf("  probation sim twin: %.2f ns/pkt (sim overhead %.2f)\n",
                 twin, twin - pipe.ns_per_packet);
     push_twin("sim_twin_probation", double(kProbFlows), twin);
@@ -678,7 +677,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(kFloodSft),
                 pipe.ns_per_packet, pipe.cycles_per_packet);
     push("replay_admission_flood", double(kFloodSft), pipe);
-    const double twin = run_sim_twin(fx, 1, trace, kTwinPasses);
+    const double twin = run_sim_twin(fx, trace, kTwinPasses);
     std::printf("  flood sim twin: %.2f ns/pkt (sim overhead %.2f)\n",
                 twin, twin - pipe.ns_per_packet);
     push_twin("sim_twin_flood", double(kFloodSft), twin);
@@ -698,7 +697,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(kSteadyFlows),
                 pipe.ns_per_packet, pipe.cycles_per_packet);
     push("replay_zipf", double(kSteadyFlows), pipe);
-    const double twin = run_sim_twin(fx, 1, trace, kTwinPasses);
+    const double twin = run_sim_twin(fx, trace, kTwinPasses);
     std::printf("  zipf sim twin: %.2f ns/pkt (sim overhead %.2f)\n",
                 twin, twin - pipe.ns_per_packet);
     push_twin("sim_twin_zipf", double(kSteadyFlows), twin);
@@ -717,10 +716,6 @@ int main(int argc, char** argv) {
                 "(%.1f cyc)\n",
                 pipe.ns_per_packet, pipe.cycles_per_packet);
     push("replay_sharded_s4", double(kSteadyFlows), pipe);
-    const double twin = run_sim_twin(fx, 4, trace, kTwinPasses);
-    std::printf("  sharded sim twin: %.2f ns/pkt (sim overhead %.2f)\n",
-                twin, twin - pipe.ns_per_packet);
-    push_twin("sim_twin_sharded_s4", double(kSteadyFlows), twin);
   }
 
   // ---- the speedup gate (full runs only; smoke timing is junk) -------

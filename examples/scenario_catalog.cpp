@@ -10,11 +10,10 @@
 // The argless invocation only prints the table (CI runs every example
 // with no arguments; nominal entries are internet-scale and take
 // minutes). --smoke is the Release-job step: every entry shrunk by
-// smoke_scale(), run under the scalar strategy, fingerprint and
-// headline metrics printed.
+// smoke_scale() and run once, fingerprint and headline metrics printed.
 //
-// docs/SCENARIOS.md documents the same catalog; the cross-strategy
-// differential battery lives in tests/test_scenario_catalog.cpp.
+// docs/SCENARIOS.md documents the same catalog; the golden battery lives
+// in tests/test_scenario_catalog.cpp.
 
 #include <cstdio>
 #include <cstring>
@@ -46,8 +45,7 @@ static int run_entry(const scenario::CatalogEntry& e, bool smoke) {
               spec.shape == scenario::AttackShape::kNone ? std::size_t{0}
                                                          : spec.zombies);
 
-  scenario::Strategy strat;  // scalar comparator (num_shards = 1)
-  const scenario::ScenarioOutcome out = scenario::run_scenario(spec, strat);
+  const scenario::ScenarioOutcome out = scenario::run_scenario(spec);
   const auto& r = out.result;
   std::printf("  timeline: %zu phases generated, %llu fired\n",
               out.timeline.size(),
@@ -96,9 +94,7 @@ static int run_detector_battery() {
     spec.detector_min_packets = 150.0;
     spec.name =
         spec.name + (c.latch ? "+detector" : "+detector_unlatched");
-    scenario::Strategy strat;  // scalar comparator (num_shards = 1)
-    const scenario::ScenarioOutcome out =
-        scenario::run_scenario(spec, strat);
+    const scenario::ScenarioOutcome out = scenario::run_scenario(spec);
     std::printf("--- %s ---\n", spec.name.c_str());
     for (const auto& pv : out.result.per_victim) {
       std::printf(

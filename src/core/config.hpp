@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 namespace mafic::core {
 
@@ -18,10 +19,11 @@ struct MaficConfig {
   /// Seed of the Pd coin. Each coin is a stateless hash of (coin_seed,
   /// flow key, packet uid): i.i.d. Bernoulli(Pd) per packet, yet a flow's
   /// coins do not depend on how other flows interleave or which engine
-  /// inspects it, so N shards decide exactly as one engine does. It
-  /// stands in for the per-packet header entropy a hardware datapath
-  /// would hash. Every engine whose decisions are meant to be comparable
-  /// (all shards of one deployment) must share it.
+  /// inspects it, so a ShardedFilter's N shards decide exactly as one
+  /// engine does. It stands in for the per-packet header entropy a
+  /// hardware datapath would hash. Every engine whose decisions are meant
+  /// to be comparable (the shards of one ShardedFilter, the ATRs of one
+  /// Experiment run) must share it.
   std::uint64_t coin_seed = 0;
 
   /// The response timer as a multiple of the flow's RTT ("we set the timer
@@ -136,5 +138,21 @@ struct MaficConfig {
   /// is latched until an explicit deactivate().
   double refresh_timeout = 0.0;
 };
+
+/// Throws std::invalid_argument for a config an engine cannot run: a zero
+/// table capacity (capacity eviction would find nothing to evict) or a Pd
+/// outside [0, 1], NaN included (the coin would never drop, so no flow is
+/// ever admitted). FilterEngine's and Experiment's constructors call it.
+inline void validate(const MaficConfig& cfg) {
+  if (cfg.sft_capacity == 0 || cfg.nft_capacity == 0 ||
+      cfg.pdt_capacity == 0) {
+    throw std::invalid_argument(
+        "MaficConfig: sft/nft/pdt capacities must be >= 1");
+  }
+  if (!(cfg.drop_probability >= 0.0 && cfg.drop_probability <= 1.0)) {
+    throw std::invalid_argument(
+        "MaficConfig: drop_probability must be in [0, 1]");
+  }
+}
 
 }  // namespace mafic::core

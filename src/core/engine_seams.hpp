@@ -92,11 +92,10 @@ class TimerService {
 ///          scheduling. It must not call back into the engine
 ///          synchronously. `flow` is passed by reference and is only
 ///          valid for the duration of the call — copy what you keep.
-///  * Ordering: implementations that merge several engines onto one
-///    wire (MaficFilter's Prober, shared by its shards) preserve call
-///    order;
-///    the engine in turn requests probes in admission-arrival order
-///    when driven through span-ordered batches.
+///  * Ordering: implementations preserve call order (MaficFilter's
+///    Prober puts each train on the wire in the order it is asked for);
+///    the engine in turn requests probes in admission-arrival order,
+///    also when driven through span-ordered batches.
 class ProbeSink {
  public:
   virtual ~ProbeSink() = default;

@@ -17,6 +17,7 @@ FilterEngine::FilterEngine(MaficConfig cfg, Clock* clock,
       tables_(cfg_),
       rtt_(cfg_),
       policy_(policy) {
+  validate(cfg_);
   // Probations leaving the SFT without a decision (capacity/quota
   // eviction or flush) must not leave their probe/decision timers armed:
   // the stale callbacks could fire into a *new* probation of the same

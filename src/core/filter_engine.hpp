@@ -94,7 +94,8 @@ class FilterEngine {
 
   /// All seam pointers are non-owning and must outlive the engine.
   /// `policy` may be null (no source screening). The Pd coin is seeded by
-  /// cfg.coin_seed (pd_coin.hpp); the engine holds no generator.
+  /// cfg.coin_seed (pd_coin.hpp); the engine holds no generator. Throws
+  /// std::invalid_argument for a config validate() rejects.
   FilterEngine(MaficConfig cfg, Clock* clock, TimerService* timers,
                ProbeSink* probes, const AddressPolicy* policy);
 

@@ -129,11 +129,15 @@ void FlowTables::set_victim_classes(const std::vector<util::Addr>& victims,
   for (Ring& r : extra_rings_) ring_reset(r);
   class_quota_.assign(n, 0);
   if (n > 1) {
-    std::size_t quota =
-        cfg_.sft_victim_quota <= 1.0
-            ? static_cast<std::size_t>(cfg_.sft_victim_quota *
-                                       static_cast<double>(cfg_.sft_capacity))
-            : static_cast<std::size_t>(cfg_.sft_victim_quota);
+    // Clamped to the table in floating point before the cast, which a
+    // quota past 2^64 (1e30, +inf) would make undefined. The sum clamp
+    // below caps every quota at sft_capacity / n anyway, so no finite
+    // quota reserves differently.
+    const double cap = static_cast<double>(cfg_.sft_capacity);
+    const double want = cfg_.sft_victim_quota <= 1.0
+                            ? cfg_.sft_victim_quota * cap
+                            : cfg_.sft_victim_quota;
+    std::size_t quota = static_cast<std::size_t>(std::min(want, cap));
     // Summed reservations must fit in the table, or an under-quota victim
     // could find nobody over quota to reclaim from and fall back to
     // evicting another under-quota victim — the bug quotas exist to fix.

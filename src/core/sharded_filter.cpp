@@ -1,79 +1,35 @@
 #include "core/sharded_filter.hpp"
 
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 
 #include "core/verdict_pipeline.hpp"
 
 namespace mafic::core {
 
-namespace {
-struct Partition {
-  unsigned bits;
-  unsigned shift;
-};
-
-Partition partition_for(std::size_t shard_count) {
+ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
+                             const AddressPolicy* policy) {
   if (!std::has_single_bit(shard_count)) {
     throw std::invalid_argument(
         "ShardedFilter: shard_count must be a power of two >= 1");
   }
-  const auto bits = static_cast<unsigned>(std::countr_zero(shard_count));
-  return {bits, 64 - bits};
-}
-}  // namespace
-
-ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                             const AddressPolicy* policy) {
-  const Partition part = partition_for(shard_count);
-  shard_bits_ = part.bits;
-  shift_ = part.shift;
+  shard_bits_ = static_cast<unsigned>(std::countr_zero(shard_count));
+  shift_ = 64 - shard_bits_;
   runtimes_.reserve(shard_count);
-  engines_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     runtimes_.push_back(std::make_unique<EngineRuntime>(cfg, policy));
-    engines_.push_back(&runtimes_.back()->engine());
   }
-}
-
-ShardedFilter::ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                             const AddressPolicy* policy,
-                             const SeamProvider& seams) {
-  const Partition part = partition_for(shard_count);
-  shard_bits_ = part.bits;
-  shift_ = part.shift;
-  owned_engines_.reserve(shard_count);
-  engines_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    const ShardSeams s = seams(i);
-    assert(s.clock != nullptr && s.timers != nullptr && s.probes != nullptr);
-    owned_engines_.push_back(std::make_unique<FilterEngine>(
-        cfg, s.clock, s.timers, s.probes, policy));
-    engines_.push_back(owned_engines_.back().get());
-  }
-}
-
-void ShardedFilter::set_victim_weights(
-    const std::vector<std::pair<util::Addr, double>>& weights) {
-  for (auto* e : engines_) e->set_victim_weights(weights);
 }
 
 void ShardedFilter::activate(const VictimSet& victims) {
-  for (auto* e : engines_) e->activate(victims);
-}
-
-void ShardedFilter::refresh() {
-  for (auto* e : engines_) e->refresh();
+  for (auto& rt : runtimes_) rt->engine().activate(victims);
 }
 
 void ShardedFilter::deactivate() {
-  for (auto* e : engines_) e->deactivate();
+  for (auto& rt : runtimes_) rt->engine().deactivate();
 }
 
-bool ShardedFilter::active() const noexcept {
-  return engines_.front()->active();
-}
+bool ShardedFilter::active() const noexcept { return engine(0).active(); }
 
 // maficlint: hot
 void ShardedFilter::partition_span(const sim::Packet* const* pkts,
@@ -81,7 +37,7 @@ void ShardedFilter::partition_span(const sim::Packet* const* pkts,
   // Every shard shares the activation state and victim set (the control
   // plane fans out), so the first engine's hot gate decides for all of
   // them — cold packets skip the hash and the shard-id slice.
-  const FilterEngine& gate = *engines_.front();
+  const FilterEngine& gate = engine(0);
   const auto one = [&](std::size_t i) {
     const bool h = gate.wants(*pkts[i]);
     out.hot[i] = h ? 1 : 0;
@@ -110,12 +66,12 @@ void ShardedFilter::inspect_batch(const sim::Packet* const* pkts,
   partition_span(pkts, n, part_);
   // One clock sample per shard per batch (drivers advance time only
   // between batches); the pipeline's now_at indexes this by home shard.
-  nows_.resize(engines_.size());
-  for (std::size_t s = 0; s < engines_.size(); ++s) {
-    nows_[s] = engines_[s]->now();
+  nows_.resize(runtimes_.size());
+  for (std::size_t s = 0; s < runtimes_.size(); ++s) {
+    nows_[s] = engine(s).now();
   }
   auto engine_at = [this](std::size_t j) -> FilterEngine& {
-    return *engines_[part_.shard[j]];
+    return engine(part_.shard[j]);
   };
   auto packet_at = [pkts](std::size_t j) -> const sim::Packet& {
     return *pkts[j];
@@ -128,7 +84,7 @@ void ShardedFilter::inspect_batch(const sim::Packet* const* pkts,
     const std::size_t m = n - i < kWindow ? n - i : kWindow;
     for (std::size_t j = 0; j < m; ++j) {
       if (part_.hot[i + j] != 0) {
-        engines_[part_.shard[i + j]]->tables().prefetch(part_.keys[i + j]);
+        engine(part_.shard[i + j]).tables().prefetch(part_.keys[i + j]);
       }
     }
     // kRegate mirrors the old per-packet inspect_hashed walk: the
@@ -150,16 +106,13 @@ void ShardedFilter::inspect_batch(const sim::Packet* const* pkts,
 }
 
 void ShardedFilter::advance_until(double t) {
-  assert(owned_engines_.empty() &&
-         "advance_until is standalone-mode only; external seams are "
-         "driven by their environment");
   for (auto& s : runtimes_) s->advance_until(t);
 }
 
 FilterEngine::Stats ShardedFilter::aggregate_stats() const {
   FilterEngine::Stats sum;
-  for (const auto* e : engines_) {
-    const FilterEngine::Stats& st = e->stats();
+  for (const auto& rt : runtimes_) {
+    const FilterEngine::Stats& st = rt->engine().stats();
     sum.offered += st.offered;
     sum.forwarded += st.forwarded;
     sum.dropped_probation += st.dropped_probation;
@@ -174,8 +127,8 @@ FilterEngine::Stats ShardedFilter::aggregate_stats() const {
 
 FlowTables::Stats ShardedFilter::aggregate_tables_stats() const {
   FlowTables::Stats sum;
-  for (const auto* e : engines_) {
-    const FlowTables::Stats& st = e->tables().stats();
+  for (const auto& rt : runtimes_) {
+    const FlowTables::Stats& st = rt->engine().tables().stats();
     sum.sft_admissions += st.sft_admissions;
     sum.sft_evictions += st.sft_evictions;
     sum.quota_evictions += st.quota_evictions;
@@ -188,25 +141,9 @@ FlowTables::Stats ShardedFilter::aggregate_tables_stats() const {
   return sum;
 }
 
-FilterEngine::VictimStats ShardedFilter::victim_stats_for(
-    util::Addr victim) const {
-  FilterEngine::VictimStats sum;
-  for (const auto* e : engines_) {
-    const auto& per = e->victim_stats();
-    const auto it = per.find(victim);
-    if (it == per.end()) continue;
-    sum.decided_nice += it->second.decided_nice;
-    sum.decided_malicious += it->second.decided_malicious;
-    sum.screened_sources += it->second.screened_sources;
-    sum.evictions += it->second.evictions;
-    sum.quota_evictions += it->second.quota_evictions;
-  }
-  return sum;
-}
-
 std::size_t ShardedFilter::resident() const {
   std::size_t n = 0;
-  for (const auto* e : engines_) n += e->tables().resident();
+  for (const auto& rt : runtimes_) n += rt->engine().tables().resident();
   return n;
 }
 

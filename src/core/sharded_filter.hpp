@@ -20,21 +20,10 @@
 /// The ShardedFilter itself spawns no threads: it is the passive state +
 /// routing layer. Drivers (bench_flow_store_scale's multi-threaded
 /// harness, or a DPDK-style run-to-completion loop) own the threads and
-/// feed each shard its pre-partitioned batches via engine(i).inspect_batch.
-///
-/// Two runtimes:
-///  * standalone (default constructor): every shard is a self-contained
-///    EngineRuntime — manual clock, private wheel, counting probe sink —
-///    and the owner drives time with advance_until().
-///  * external seams (SeamProvider constructor): the embedding runtime
-///    supplies each shard's Clock/TimerService/ProbeSink — how the
-///    discrete-event adapter (MaficFilter) mounts the shards on the
-///    simulator's clock, shared wheel and a real Prober. In this mode
-///    the environment drives time; advance_until() must not be called.
+/// feed each shard its pre-partitioned batches via engine(i).inspect_batch,
+/// and drive time with advance_until().
 
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,31 +33,16 @@ namespace mafic::core {
 
 class ShardedFilter {
  public:
-  /// One shard's environment bindings (non-owning; must outlive the
-  /// filter). See engine_seams.hpp for the seam contracts.
-  struct ShardSeams {
-    Clock* clock = nullptr;
-    TimerService* timers = nullptr;
-    ProbeSink* probes = nullptr;
-  };
-  /// Supplies the seams for shard `i`; invoked once per shard during
-  /// construction, in shard order.
-  using SeamProvider = std::function<ShardSeams(std::size_t shard)>;
-
-  /// `shard_count` must be a power of two >= 1, because the partition
-  /// is a bit slice; both constructors throw std::invalid_argument
-  /// otherwise. Per-shard capacities come from `cfg` verbatim: N shards
-  /// hold N times the flows of one engine, mirroring per-core table
-  /// memory.
+  /// Every shard is a self-contained EngineRuntime — manual clock,
+  /// private wheel, counting probe sink. `shard_count` must be a power of
+  /// two >= 1, because the partition is a bit slice; the constructor
+  /// throws std::invalid_argument otherwise. Per-shard capacities come
+  /// from `cfg` verbatim: N shards hold N times the flows of one engine,
+  /// mirroring per-core table memory.
   ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
                 const AddressPolicy* policy);
 
-  /// External-seams mode: engines bind to the provided environment
-  /// instead of private EngineRuntimes.
-  ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                const AddressPolicy* policy, const SeamProvider& seams);
-
-  std::size_t shard_count() const noexcept { return engines_.size(); }
+  std::size_t shard_count() const noexcept { return runtimes_.size(); }
 
   /// Home shard of a flow key: the top log2(N) bits. hash_label output is
   /// well mixed, and the flat store indexes with an independent Fibonacci
@@ -80,29 +54,20 @@ class ShardedFilter {
     return shard_of(sim::hash_label(p.label));
   }
 
-  /// Standalone mode only: shard i's self-contained runtime (external-
-  /// seams filters have no runtimes; use engine(i) there).
-  EngineRuntime& shard(std::size_t i) noexcept {
-    assert(!runtimes_.empty() && "shard() is standalone-mode only");
-    return *runtimes_[i];
-  }
+  /// Shard i's self-contained runtime.
+  EngineRuntime& shard(std::size_t i) noexcept { return *runtimes_[i]; }
   const EngineRuntime& shard(std::size_t i) const noexcept {
-    assert(!runtimes_.empty() && "shard() is standalone-mode only");
     return *runtimes_[i];
   }
-  FilterEngine& engine(std::size_t i) noexcept { return *engines_[i]; }
+  FilterEngine& engine(std::size_t i) noexcept {
+    return runtimes_[i]->engine();
+  }
   const FilterEngine& engine(std::size_t i) const noexcept {
-    return *engines_[i];
+    return runtimes_[i]->engine();
   }
 
   // --- control plane (single-threaded, between datapath batches) -------
   void activate(const VictimSet& victims);
-  /// Weighted per-victim SFT quotas: forwarded to EVERY shard engine so
-  /// all shards agree on class reservations (the cross-shard equivalence
-  /// depends on identical class tables). Consumed by the next activate().
-  void set_victim_weights(
-      const std::vector<std::pair<util::Addr, double>>& weights);
-  void refresh();
   void deactivate();
   bool active() const noexcept;
 
@@ -110,12 +75,11 @@ class ShardedFilter {
   /// forward without hashing, as in partition_span — every shard shares
   /// the activation state and victim set, so the first engine decides for
   /// all), then hashes once: the routing key doubles as the table key.
-  /// The sim adapter's path.
   // maficlint: hot
   EngineVerdict inspect(const sim::Packet& p) {
-    if (!engines_.front()->wants(p)) return EngineVerdict::kForward;
+    if (!engine(0).wants(p)) return EngineVerdict::kForward;
     const std::uint64_t key = sim::hash_label(p.label);
-    return engines_[shard_of(key)]->inspect_hashed(p, key);
+    return engine(shard_of(key)).inspect_hashed(p, key);
   }
 
   /// Batch-inspects an indirect span in ARRIVAL order: runs
@@ -130,7 +94,6 @@ class ShardedFilter {
                      EngineVerdict* out);
 
   /// Advances every shard's clock, firing due probation timers.
-  /// Standalone mode only (external seams are driven by the environment).
   void advance_until(double t);
 
   /// Sums engine stats across shards.
@@ -138,11 +101,8 @@ class ShardedFilter {
   /// Sums flow-table stats across shards. Per-shard quota accounting is
   /// strictly shard-local (each shard registers the same victim classes
   /// over its own ring set), so the sums are deterministic for a fixed
-  /// per-shard operation sequence — the property the scalar-vs-sharded
-  /// sim equivalence gate relies on with quotas enabled.
+  /// per-shard operation sequence.
   FlowTables::Stats aggregate_tables_stats() const;
-  /// Per-victim decision/eviction tally for `victim`, summed over shards.
-  FilterEngine::VictimStats victim_stats_for(util::Addr victim) const;
   /// Sums resident flows (all tables) across shards.
   std::size_t resident() const;
 
@@ -162,12 +122,8 @@ class ShardedFilter {
 
   unsigned shard_bits_ = 0;
   unsigned shift_ = 64;
-  /// Standalone mode: one self-contained runtime per shard (else empty).
+  /// One self-contained runtime per shard.
   std::vector<std::unique_ptr<EngineRuntime>> runtimes_;
-  /// External-seams mode: engines owned directly (else empty).
-  std::vector<std::unique_ptr<FilterEngine>> owned_engines_;
-  /// Both modes: shard i's engine (the common routing/datapath surface).
-  std::vector<FilterEngine*> engines_;
   /// inspect_batch scratch (reused; steady state allocates nothing).
   SpanPartition part_;
   /// Per-shard batch-start clock samples (one now() per shard per batch).

@@ -1,7 +1,6 @@
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -56,16 +55,13 @@ Experiment::Experiment(ExperimentConfig cfg)
     throw std::invalid_argument(
         "pushback.control_delay must be >= 0 and < epoch_seconds");
   }
-  // The shard partition is a bit slice; anything else would be silently
-  // rounded to another count.
-  if (!std::has_single_bit(cfg_.num_shards)) {
-    throw std::invalid_argument("num_shards must be a power of two >= 1");
-  }
   cfg_.mafic.drop_probability = cfg_.drop_probability;
   cfg_.mafic.sft_victim_quota = cfg_.sft_victim_quota;
+  // Every run fails here on a MAFIC config its engines would reject,
+  // whatever the defense kind.
+  core::validate(cfg_.mafic);
   // One Pd coin seed per run, from the experiment seed alone: every MAFIC
-  // filter and the proportional dropper share it, and runs that differ
-  // only in num_shards draw identical coins.
+  // filter and the proportional dropper share it.
   cfg_.mafic.coin_seed = util::mix64(cfg_.seed ^ 0xc0115eedULL);
 }
 
@@ -335,7 +331,7 @@ void Experiment::build_defense() {
 
   // Weighted per-victim quotas: pair each protected destination with its
   // configured weight (victim order; missing entries weigh 1.0). Applied
-  // to every MAFIC filter below so all ATRs/shards agree on reservations.
+  // to every MAFIC filter below so all ATRs agree on reservations.
   std::vector<std::pair<util::Addr, double>> quota_weights;
   if (cfg_.sft_victim_quota > 0.0 && !cfg_.sft_victim_weights.empty()) {
     quota_weights.reserve(victim_addrs_.size());
@@ -354,13 +350,13 @@ void Experiment::build_defense() {
       case DefenseKind::kMafic: {
         // Before the uplink queue, where the paper's ATR drops.
         auto filter = std::make_unique<core::MaficFilter>(
-            &sim_, &factory_, atr, cfg_.mafic, policy_.get(),
-            cfg_.num_shards);
-        filter->set_offered_callback([this](const sim::Packet& p) {
+            &sim_, &factory_, atr, cfg_.mafic, policy_.get());
+        core::FilterEngine& engine = filter->engine();
+        engine.set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
+        if (!quota_weights.empty()) engine.set_victim_weights(quota_weights);
         core::MaficFilter* raw = filter.get();
-        if (!quota_weights.empty()) raw->set_victim_weights(quota_weights);
         access.uplink->add_head_filter(std::move(filter));
         mafic_filters_.push_back(raw);
         coordinator_->register_actuator(access.router, raw);
@@ -396,7 +392,10 @@ VictimBreakdown Experiment::victim_breakdown(util::Addr victim) const {
   VictimBreakdown b;
   b.victim = victim;
   for (const auto* f : mafic_filters_) {
-    const auto vs = f->victim_stats_for(victim);
+    const auto& per = f->engine().victim_stats();
+    const auto it = per.find(victim);
+    if (it == per.end()) continue;
+    const auto& vs = it->second;
     b.decided_nice += vs.decided_nice;
     b.decided_malicious += vs.decided_malicious;
     b.screened_sources += vs.screened_sources;
@@ -456,13 +455,13 @@ ExperimentResult Experiment::snapshot_result() const {
   r.events_processed = sim_.events_processed();
 
   for (const auto* f : mafic_filters_) {
-    const auto ts = f->tables_stats();
+    const auto& ts = f->engine().tables().stats();
     r.sft_admissions += ts.sft_admissions;
     r.sft_evictions += ts.sft_evictions;
     r.quota_evictions += ts.quota_evictions;
     r.moved_to_nft += ts.moved_to_nft;
     r.moved_to_pdt += ts.moved_to_pdt;
-    const auto es = f->stats();
+    const auto& es = f->engine().stats();
     r.screened_sources += es.screened_sources;
     r.probes_issued += es.probes_issued;
   }

@@ -139,7 +139,9 @@ struct ExperimentConfig {
   TriggerMode trigger = TriggerMode::kScripted;
   AtrScope atr_scope = AtrScope::kAllIngress;
   /// Pd and the SFT victim quota are overwritten from the top-level
-  /// drop_probability / sft_victim_quota knobs.
+  /// drop_probability / sft_victim_quota knobs. The Experiment
+  /// constructor then throws std::invalid_argument for a result that
+  /// core::validate rejects, whatever the defense kind.
   core::MaficConfig mafic{};
   baseline::AggregateLimiter::Config aggregate{};
 
@@ -159,14 +161,6 @@ struct ExperimentConfig {
   /// proportional to its weight instead of an equal split (missing
   /// entries weigh 1.0, extra entries are ignored). Empty = equal split.
   std::vector<double> sft_victim_weights;
-
-  /// Engine shards per ATR filter (core::MaficFilter, at the head of each
-  /// ingress uplink). 1 (default) is the scalar ATR; a larger power of
-  /// two models a multi-core one. The Pd coin seed derives from `seed`
-  /// alone, so runs that differ only in num_shards make identical
-  /// per-flow classification decisions. The Experiment constructor
-  /// throws std::invalid_argument unless this is a power of two >= 1.
-  std::size_t num_shards = 1;
 
   // --- pushback substrate ----------------------------------------------------
   /// The Experiment constructor also throws std::invalid_argument unless

@@ -4,10 +4,9 @@
 /// The named scenario catalog: each entry is a nominal (internet-scale)
 /// ScenarioSpec plus the paper motivation and the expected qualitative
 /// outcome. docs/SCENARIOS.md renders the same table for humans;
-/// examples/scenario_catalog.cpp lists/runs entries by name; the
-/// cross-strategy differential battery (test_scenario_catalog.cpp) runs
-/// every entry at smoke scale (smoke_scale) through all datapath
-/// strategies and pins FNV golden fingerprints.
+/// examples/scenario_catalog.cpp lists/runs entries by name; the golden
+/// battery (test_scenario_catalog.cpp) runs every entry at smoke scale
+/// (smoke_scale) and pins FNV golden fingerprints.
 
 #include <string_view>
 #include <vector>

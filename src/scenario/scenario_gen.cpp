@@ -26,13 +26,6 @@ const char* to_string(AttackShape s) noexcept {
   return "?";
 }
 
-std::vector<Strategy> equivalence_strategies() {
-  return {
-      {"scalar", 1},
-      {"sharded", 4},
-  };
-}
-
 ExperimentConfig compile(const ScenarioSpec& spec) {
   const std::size_t zombies =
       spec.shape == AttackShape::kNone
@@ -74,10 +67,6 @@ ExperimentConfig compile(const ScenarioSpec& spec) {
   }
   cfg.end_time = spec.end_time;
   return cfg;
-}
-
-void apply_strategy(const Strategy& strat, ExperimentConfig& cfg) {
-  cfg.num_shards = strat.num_shards;
 }
 
 Timeline generate_timeline(const ScenarioSpec& spec) {
@@ -273,10 +262,8 @@ std::uint64_t detector_fingerprint(const ExperimentResult& r) {
   return h;
 }
 
-ScenarioOutcome run_scenario(const ScenarioSpec& spec,
-                             const Strategy& strat) {
-  ExperimentConfig cfg = compile(spec);
-  apply_strategy(strat, cfg);
+ScenarioOutcome run_scenario(const ScenarioSpec& spec) {
+  const ExperimentConfig cfg = compile(spec);
   Timeline tl = generate_timeline(spec);
   const std::string err = validate_timeline(spec, tl);
   if (!err.empty()) {

@@ -18,11 +18,10 @@
 /// spawning, start/stop alternation, carpet sweeps covering every victim
 /// exactly once per sweep).
 ///
-/// run_scenario() executes one spec under one datapath Strategy (one or
-/// four engine shards per ATR filter) and fingerprints the integer
-/// decision statistics, which is what the
-/// cross-strategy differential battery (test_scenario_catalog.cpp)
-/// compares bit-for-bit. The named catalog lives in scenario_catalog.hpp.
+/// run_scenario() executes one spec and fingerprints the integer decision
+/// statistics, which the golden maps (test_scenario_catalog.cpp,
+/// test_detector_catalog.cpp) pin per catalog entry. The named catalog
+/// lives in scenario_catalog.hpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -88,8 +87,8 @@ struct ScenarioSpec {
   /// TriggerMode::kDetector: the asynchronous control plane (epoch
   /// snapshots, per-victim feature detection, apply-after-control-delay)
   /// drives activation instead of the scripted notification. The
-  /// detector battery runs catalog shapes with this on and compares
-  /// detector_fingerprint() across strategies.
+  /// detector battery runs catalog shapes with this on and pins their
+  /// detector_fingerprint().
   bool detector_trigger = false;
   bool detector_latch = true;  ///< pushback latch in detector mode
   /// Detector |Dj| floor override (packets/epoch; 0 = library default).
@@ -112,27 +111,11 @@ struct TimelineEvent {
 
 using Timeline = std::vector<TimelineEvent>;
 
-/// One datapath configuration the battery runs every scenario through:
-/// the engine shards per ATR filter (1 = the scalar ATR). The filter
-/// always sits at the uplink head, before the queue.
-struct Strategy {
-  const char* label = "scalar";
-  std::size_t num_shards = 1;
-};
-
-/// The two bit-comparable strategies of the differential battery:
-/// scalar (1 shard) and sharded (4 shards). Every per-flow decision must
-/// match exactly.
-std::vector<Strategy> equivalence_strategies();
-
 /// Compiles the declarative spec into a runnable ExperimentConfig
 /// (topology, flow counts, defense, timing). Pure and deterministic; does
-/// NOT include the Strategy (apply_strategy) or timeline (install after
-/// setup). kNone forces zero zombies.
+/// NOT include the timeline (install after setup). kNone forces zero
+/// zombies.
 ExperimentConfig compile(const ScenarioSpec& spec);
-
-/// Overlays a datapath strategy onto a compiled config.
-void apply_strategy(const Strategy& strat, ExperimentConfig& cfg);
 
 /// Generates the attack-phase timeline for the spec's shape. Seeded by
 /// spec.seed: carpet-bomb sweep orders are per-sweep permutations drawn
@@ -169,21 +152,18 @@ struct ScenarioOutcome {
 /// counts, events processed, aggregated defense internals, the metrics
 /// packet counters, and the ordered per-victim breakdown. Doubles (rates,
 /// times) and unordered diagnostics are excluded, so the value is exactly
-/// reproducible across strategies that make identical per-flow decisions.
+/// reproducible for a fixed spec.
 std::uint64_t fingerprint(const ExperimentResult& r);
 
 /// fingerprint(r) extended with the detector-mode outcome: per-victim
 /// alarm counts and engage/clear flags, and the ordered identified-ATR
 /// set. Trigger/clear TIMES are doubles and stay out of the hash (same
-/// exclusion rule as fingerprint()); the battery compares them with
-/// exact equality across strategies instead, since apply events are
-/// epoch-aligned.
+/// exclusion rule as fingerprint()).
 std::uint64_t detector_fingerprint(const ExperimentResult& r);
 
-/// Compiles, applies the strategy, installs the generated timeline and
-/// runs to end_time. Aborts (assert) on a timeline that fails validation —
+/// Compiles, installs the generated timeline and runs to end_time.
+/// Throws std::runtime_error on a timeline that fails validation —
 /// generate_timeline and validate_timeline are tested to agree.
-ScenarioOutcome run_scenario(const ScenarioSpec& spec,
-                             const Strategy& strat);
+ScenarioOutcome run_scenario(const ScenarioSpec& spec);
 
 }  // namespace mafic::scenario

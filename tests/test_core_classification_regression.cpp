@@ -70,7 +70,7 @@ std::vector<Outcome> run_scripted() {
   for (std::uint32_t i = 0; i < 48; ++i) {
     keys.push_back(sim::hash_label(label_for(i)));
   }
-  filter.set_classification_callback(
+  filter.engine().set_classification_callback(
       [&](const SftEntry& e, TableKind dest) {
         std::uint32_t flow = 0xffffffffu;
         for (std::uint32_t i = 0; i < keys.size(); ++i) {

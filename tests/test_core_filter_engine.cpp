@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/standalone_runtime.hpp"
 #include "util/rng.hpp"
 
@@ -207,6 +210,39 @@ TEST(FilterEngineVictimStats, TracksDecisionsPerVictim) {
   EXPECT_EQ(per_victim.at(v1).decided_malicious, 0u);
   EXPECT_EQ(per_victim.at(v2).decided_nice, 1u);
   EXPECT_EQ(per_victim.at(v2).decided_malicious, 1u);
+}
+
+TEST(FilterEngineConfig, RejectsValuesThatBreakTheEngine) {
+  // Each of these used to construct: a zero SFT capacity crashed the
+  // first admission, a zero NFT or PDT capacity tripped an eviction
+  // assert (in Release a zero PDT never blocked a flow), and a NaN Pd
+  // never dropped, so nothing was admitted and the defense was off.
+  const auto with = [](auto edit) {
+    MaficConfig cfg = test_config();
+    edit(cfg);
+    return cfg;
+  };
+  const MaficConfig bad[] = {
+      with([](MaficConfig& c) { c.sft_capacity = 0; }),
+      with([](MaficConfig& c) { c.nft_capacity = 0; }),
+      with([](MaficConfig& c) { c.pdt_capacity = 0; }),
+      with([](MaficConfig& c) { c.drop_probability = std::nan(""); }),
+      with([](MaficConfig& c) { c.drop_probability = -0.1; }),
+      with([](MaficConfig& c) { c.drop_probability = 1.5; }),
+  };
+  for (const MaficConfig& cfg : bad) {
+    EXPECT_THROW(EngineRuntime(cfg, nullptr), std::invalid_argument);
+  }
+  const MaficConfig good[] = {
+      with([](MaficConfig& c) { c.drop_probability = 0.0; }),
+      with([](MaficConfig& c) { c.drop_probability = 1.0; }),
+      with([](MaficConfig& c) {
+        c.sft_capacity = c.nft_capacity = c.pdt_capacity = 1;
+      }),
+  };
+  for (const MaficConfig& cfg : good) {
+    EXPECT_NO_THROW(EngineRuntime(cfg, nullptr));
+  }
 }
 
 }  // namespace

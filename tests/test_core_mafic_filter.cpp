@@ -84,7 +84,7 @@ TEST_F(MaficFilterTest, InactiveFiltersForwardEverything) {
   src.connect(victim->addr(), 80);
   src.start();
   sim.run_until(1.0);
-  EXPECT_EQ(filter_a->stats().offered, 0u);
+  EXPECT_EQ(filter_a->engine().stats().offered, 0u);
   EXPECT_GT(sink.packets_received(), 200u);
 }
 
@@ -99,7 +99,7 @@ TEST_F(MaficFilterTest, ActiveFilterIgnoresOtherDestinations) {
   src.connect(src_b->addr(), 80);
   src.start();
   sim.run_until(0.5);
-  EXPECT_EQ(filter_a->stats().offered, 0u);
+  EXPECT_EQ(filter_a->engine().stats().offered, 0u);
   EXPECT_GT(sink.packets_received(), 100u);
 }
 
@@ -112,10 +112,10 @@ TEST_F(MaficFilterTest, IllegalSourceGoesStraightToPdt) {
   p->size_bytes = 500;
   src_a->send(std::move(p));
   sim.run();
-  EXPECT_EQ(filter_a->stats().screened_sources, 1u);
-  EXPECT_EQ(filter_a->stats().dropped_pdt, 1u);
-  EXPECT_EQ(filter_a->engine(0).tables().pdt_size(), 1u);
-  EXPECT_EQ(filter_a->engine(0).tables().stats().direct_pdt, 1u);
+  EXPECT_EQ(filter_a->engine().stats().screened_sources, 1u);
+  EXPECT_EQ(filter_a->engine().stats().dropped_pdt, 1u);
+  EXPECT_EQ(filter_a->engine().tables().pdt_size(), 1u);
+  EXPECT_EQ(filter_a->engine().tables().stats().direct_pdt, 1u);
 }
 
 TEST_F(MaficFilterTest, UnreachableSourceGoesStraightToPdt) {
@@ -128,7 +128,7 @@ TEST_F(MaficFilterTest, UnreachableSourceGoesStraightToPdt) {
   p->size_bytes = 500;
   src_a->send(std::move(p));
   sim.run();
-  EXPECT_EQ(filter_a->stats().screened_sources, 1u);
+  EXPECT_EQ(filter_a->engine().stats().screened_sources, 1u);
 }
 
 TEST_F(MaficFilterTest, ScreeningCanBeDisabled) {
@@ -144,7 +144,7 @@ TEST_F(MaficFilterTest, ScreeningCanBeDisabled) {
   // Feed directly: inspect is protected, so route through recv().
   raw->set_target(nullptr);
   raw->recv(std::move(p));
-  EXPECT_EQ(raw->stats().screened_sources, 0u);
+  EXPECT_EQ(raw->engine().stats().screened_sources, 0u);
 }
 
 TEST_F(MaficFilterTest, UnresponsiveFlowEndsInPdt) {
@@ -160,15 +160,15 @@ TEST_F(MaficFilterTest, UnresponsiveFlowEndsInPdt) {
   activate_all();
   sim.run_until(1.5);
 
-  EXPECT_TRUE(filter_a->engine(0).tables().in_pdt(
+  EXPECT_TRUE(filter_a->engine().tables().in_pdt(
       sim::hash_label(zombie.wire_label())));
-  EXPECT_EQ(filter_a->stats().decided_malicious, 1u);
-  EXPECT_EQ(filter_a->stats().decided_nice, 0u);
+  EXPECT_EQ(filter_a->engine().stats().decided_malicious, 1u);
+  EXPECT_EQ(filter_a->engine().stats().decided_nice, 0u);
   // After classification (+0.2 s) every packet is dropped: at most the
   // probation leak got through.
   const auto after = sink.packets_received() - before;
   EXPECT_LT(after, 60u);  // ~500/s for 1 s would be 500 unfiltered
-  EXPECT_GT(filter_a->stats().dropped_pdt, 300u);
+  EXPECT_GT(filter_a->engine().stats().dropped_pdt, 300u);
 }
 
 TEST_F(MaficFilterTest, ResponsiveTcpFlowEndsInNftAndRecovers) {
@@ -182,8 +182,8 @@ TEST_F(MaficFilterTest, ResponsiveTcpFlowEndsInNftAndRecovers) {
   sim.run_until(2.0);
 
   const auto key = sim::hash_label(sender.label());
-  EXPECT_TRUE(filter_a->engine(0).tables().in_nft(key));
-  EXPECT_EQ(filter_a->stats().decided_malicious, 0u);
+  EXPECT_TRUE(filter_a->engine().tables().in_nft(key));
+  EXPECT_EQ(filter_a->engine().stats().decided_malicious, 0u);
 
   // NFT flows are never dropped again: goodput resumes.
   const auto delivered_at_2 = sink.stats().unique_delivered;
@@ -201,7 +201,7 @@ TEST_F(MaficFilterTest, ProbeIsSentForSuspiciousFlows) {
   sim.run_until(0.2);
   activate_all();
   sim.run_until(1.0);
-  EXPECT_EQ(filter_a->stats().probes_issued, 1u);
+  EXPECT_EQ(filter_a->engine().stats().probes_issued, 1u);
   EXPECT_EQ(filter_a->prober().probe_packets_sent(), cfg.probe_dup_acks);
   // The zombie received and ignored the probe duplicate ACKs.
   EXPECT_GE(zombie.feedback_ignored(), std::uint64_t(cfg.probe_dup_acks));
@@ -219,7 +219,7 @@ TEST_F(MaficFilterTest, ThinFlowGetsBenefitOfDoubt) {
   activate_all();
   sim.run_until(3.0);
   const auto key = sim::hash_label(trickle.label());
-  EXPECT_TRUE(filter_a->engine(0).tables().in_nft(key));
+  EXPECT_TRUE(filter_a->engine().tables().in_nft(key));
 }
 
 TEST_F(MaficFilterTest, DropAllInSftModeDropsDeterministically) {
@@ -252,17 +252,17 @@ TEST_F(MaficFilterTest, DeactivateFlushesAndForwards) {
   zombie.connect(victim->addr(), 80);
   zombie.start();
   sim.run_until(1.0);
-  EXPECT_GT(filter_a->engine(0).tables().pdt_size(), 0u);
+  EXPECT_GT(filter_a->engine().tables().pdt_size(), 0u);
 
   filter_a->deactivate();
   EXPECT_FALSE(filter_a->active());
-  EXPECT_EQ(filter_a->engine(0).tables().pdt_size(), 0u);
-  EXPECT_EQ(filter_a->engine(0).tables().sft_size(), 0u);
+  EXPECT_EQ(filter_a->engine().tables().pdt_size(), 0u);
+  EXPECT_EQ(filter_a->engine().tables().sft_size(), 0u);
 
   transport::UdpSink sink(&sim, &factory, victim, 80);
-  const auto dropped = filter_a->stats().dropped_pdt;
+  const auto dropped = filter_a->engine().stats().dropped_pdt;
   sim.run_until(2.0);
-  EXPECT_EQ(filter_a->stats().dropped_pdt, dropped);  // no more drops
+  EXPECT_EQ(filter_a->engine().stats().dropped_pdt, dropped);  // no more drops
   EXPECT_GT(sink.packets_received(), 300u);           // flood passes again
 }
 
@@ -297,7 +297,8 @@ TEST_F(MaficFilterTest, RefreshExtendsActivation) {
 TEST_F(MaficFilterTest, OfferedCallbackSeesVictimBoundPackets) {
   activate_all();
   std::uint64_t offered = 0;
-  filter_a->set_offered_callback([&](const sim::Packet&) { ++offered; });
+  filter_a->engine().set_offered_callback(
+      [&](const sim::Packet&) { ++offered; });
   attack::Flooder::Config zc;
   zc.rate_bps = 1e6;
   zc.packet_bytes = 500;
@@ -305,14 +306,14 @@ TEST_F(MaficFilterTest, OfferedCallbackSeesVictimBoundPackets) {
   zombie.connect(victim->addr(), 80);
   zombie.start();
   sim.run_until(0.5);
-  EXPECT_EQ(offered, filter_a->stats().offered);
+  EXPECT_EQ(offered, filter_a->engine().stats().offered);
   EXPECT_GT(offered, 50u);
 }
 
 TEST_F(MaficFilterTest, ClassificationCallbackReportsOutcome) {
   activate_all();
   std::vector<TableKind> outcomes;
-  filter_a->set_classification_callback(
+  filter_a->engine().set_classification_callback(
       [&](const SftEntry& e, TableKind kind) {
         EXPECT_GT(e.baseline_count, 0u);
         outcomes.push_back(kind);
@@ -346,8 +347,8 @@ TEST_F(MaficFilterTest, ProbationDropRateTracksPd) {
   zombie.connect(victim->addr(), 80);
   zombie.start();
   sim.run_until(0.19);  // stay inside the probation window
-  const double offered = double(raw->stats().offered);
-  const double dropped = double(raw->stats().dropped_probation);
+  const double offered = double(raw->engine().stats().offered);
+  const double dropped = double(raw->engine().stats().dropped_probation);
   ASSERT_GT(offered, 500.0);
   EXPECT_NEAR(dropped / offered, 0.9, 0.05);
 }

@@ -13,9 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/mafic_filter.hpp"
-#include "sim/network.hpp"
-
 namespace mafic::core {
 namespace {
 
@@ -86,26 +83,16 @@ struct FlowOutcome {
 };
 
 /// The partition is a bit slice, so only a power of two >= 1 names a
-/// shard count. Both the standalone filter and the sim adapter refuse
-/// anything else instead of building another count.
+/// shard count. The filter refuses anything else instead of building
+/// another count.
 TEST(ShardedFilter, RejectsBadShardCounts) {
   const MaficConfig cfg = test_config();
-  sim::Simulator sim;
-  sim::Network net(&sim);
-  sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
-  sim::PacketFactory factory;
   for (const std::size_t bad : {0, 3, 6}) {
     EXPECT_THROW(ShardedFilter(bad, cfg, nullptr), std::invalid_argument)
-        << bad;
-    EXPECT_THROW(MaficFilter(&sim, &factory, atr, cfg, nullptr, bad),
-                 std::invalid_argument)
         << bad;
   }
   for (const std::size_t good : {1, 2, 4}) {
     EXPECT_EQ(ShardedFilter(good, cfg, nullptr).shard_count(), good);
-    EXPECT_EQ(MaficFilter(&sim, &factory, atr, cfg, nullptr, good)
-                  .num_shards(),
-              good);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -70,6 +71,19 @@ TEST(VictimQuota, QuotaSlotsFractionAbsoluteAndClamp) {
     FlowTables t(cfg);
     t.set_victim_classes({kVictimA, kVictimB});
     EXPECT_EQ(t.quota_slots(), 4u);  // not 7
+  }
+  {
+    // A quota past 2^64 slots clamps to the table before the integer cast
+    // (casting it was undefined), then to the per-victim share.
+    for (const double huge :
+         {1e30, std::numeric_limits<double>::infinity()}) {
+      MaficConfig cfg;
+      cfg.sft_capacity = 16;
+      cfg.sft_victim_quota = huge;
+      FlowTables t(cfg);
+      t.set_victim_classes({kVictimA, kVictimB});
+      EXPECT_EQ(t.quota_slots(), 8u) << huge;
+    }
   }
   {
     // Quota disabled or a single victim: one shared class, no budget.
@@ -547,7 +561,7 @@ TEST(VictimQuotaExperiment, ProvisionedWeightsFlowToEveryEngine) {
   // split would be 4 and 4).
   std::size_t activated = 0;
   for (const core::MaficFilter* f : exp.mafic_filters()) {
-    const core::FlowTables& t = f->engine(0).tables();  // one shard
+    const core::FlowTables& t = f->engine().tables();
     if (t.victim_classes() < 2) continue;  // never activated
     ++activated;
     EXPECT_EQ(t.quota_slots_of(primary), 6u);

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 namespace mafic::scenario {
 namespace {
@@ -228,47 +227,45 @@ TEST(ExperimentConfigValidation, NegativeControlDelayThrows) {
   EXPECT_THROW(Experiment{cfg}, std::invalid_argument);
 }
 
-TEST(Experiment, RejectsBadShardCounts) {
-  // The shard partition is a bit slice: 0 used to pick another filter
-  // placement and 3 silently became 4.
-  for (const std::size_t bad : {0, 3, 6}) {
-    auto cfg = small_config();
-    cfg.num_shards = bad;
-    EXPECT_THROW(Experiment{cfg}, std::invalid_argument) << bad;
-  }
-  for (const std::size_t good : {1, 2, 4}) {
-    auto cfg = small_config();
-    cfg.num_shards = good;
-    EXPECT_NO_THROW(Experiment{cfg}) << good;
+TEST(ExperimentConfigValidation, MaficConfigTheEngineRejectsThrows) {
+  // The effective MAFIC config is checked once Pd and the quota are
+  // copied in, whatever the defense kind: a NaN Pd used to turn the
+  // defense off silently, and a zero SFT capacity crashed the first
+  // admission.
+  for (const DefenseKind kind :
+       {DefenseKind::kMafic, DefenseKind::kProportional,
+        DefenseKind::kNone}) {
+    auto nan_pd = small_config();
+    nan_pd.defense = kind;
+    nan_pd.drop_probability = std::nan("");
+    EXPECT_THROW(Experiment{nan_pd}, std::invalid_argument);
+    auto no_sft = small_config();
+    no_sft.defense = kind;
+    no_sft.mafic.sft_capacity = 0;
+    EXPECT_THROW(Experiment{no_sft}, std::invalid_argument);
   }
 }
 
 /// The paper's ATR drops at the head of each ingress uplink, before the
-/// queue, for every shard count.
+/// queue.
 TEST(Experiment, MaficFilterSitsBeforeTheUplinkQueue) {
-  for (const std::size_t shards : {1, 4}) {
-    SCOPED_TRACE(std::string("num_shards ") + std::to_string(shards));
-    auto cfg = small_config();
-    cfg.num_shards = shards;
-    Experiment exp(cfg);
-    exp.setup();
-    ASSERT_FALSE(exp.domain().access_links().empty());
-    for (const auto& access : exp.domain().access_links()) {
-      sim::SimplexLink* up = access.uplink;
-      // The sketch tap comes first, so the entry itself is not the filter.
-      EXPECT_EQ(dynamic_cast<core::MaficFilter*>(up->entry()), nullptr);
-      int filters = 0;
-      for (sim::Connector* c = up->entry(); c != &up->queue();
-           c = c->target()) {
-        ASSERT_NE(c, nullptr) << "head chain never reached the queue";
-        if (dynamic_cast<core::MaficFilter*>(c) != nullptr) ++filters;
-      }
-      EXPECT_EQ(filters, 1) << "uplink of host " << access.host;
-      EXPECT_EQ(
-          dynamic_cast<core::MaficFilter*>(up->transmitter().target()),
-          nullptr)
-          << "a MAFIC filter sits after the queue";
+  Experiment exp(small_config());
+  exp.setup();
+  ASSERT_FALSE(exp.domain().access_links().empty());
+  for (const auto& access : exp.domain().access_links()) {
+    sim::SimplexLink* up = access.uplink;
+    // The sketch tap comes first, so the entry itself is not the filter.
+    EXPECT_EQ(dynamic_cast<core::MaficFilter*>(up->entry()), nullptr);
+    int filters = 0;
+    for (sim::Connector* c = up->entry(); c != &up->queue();
+         c = c->target()) {
+      ASSERT_NE(c, nullptr) << "head chain never reached the queue";
+      if (dynamic_cast<core::MaficFilter*>(c) != nullptr) ++filters;
     }
+    EXPECT_EQ(filters, 1) << "uplink of host " << access.host;
+    EXPECT_EQ(dynamic_cast<core::MaficFilter*>(up->transmitter().target()),
+              nullptr)
+        << "a MAFIC filter sits after the queue";
   }
 }
 
@@ -276,7 +273,7 @@ TEST(ExperimentIntegration, FilterConservation) {
   Experiment exp(small_config());
   exp.run();
   for (const auto* f : exp.mafic_filters()) {
-    const auto& s = f->stats();
+    const auto& s = f->engine().stats();
     EXPECT_EQ(s.offered,
               s.forwarded + s.dropped_probation + s.dropped_pdt)
         << "packets must be either forwarded or dropped";
@@ -288,20 +285,11 @@ TEST(ExperimentIntegration, TablesPartitionFlows) {
   const auto r = exp.run();
   // Every admitted probation resolved into exactly one table (none left
   // suspended at the end beyond flows that went quiet mid-window).
-  EXPECT_EQ(r.sft_admissions, r.moved_to_nft + r.moved_to_pdt +
-                                  [&] {
-                                    std::size_t pending = 0;
-                                    for (const auto* f :
-                                         exp.mafic_filters()) {
-                                      for (std::size_t s = 0;
-                                           s < f->num_shards(); ++s) {
-                                        pending += f->engine(s)
-                                                       .tables()
-                                                       .sft_size();
-                                      }
-                                    }
-                                    return pending;
-                                  }());
+  std::size_t pending = 0;
+  for (const auto* f : exp.mafic_filters()) {
+    pending += f->engine().tables().sft_size();
+  }
+  EXPECT_EQ(r.sft_admissions, r.moved_to_nft + r.moved_to_pdt + pending);
 }
 
 TEST(ExperimentIntegration, SpoofedIllegalSourcesAreScreened) {

@@ -143,11 +143,9 @@ TEST(FailureInjection, DefenseSurvivesAttackStoppingEarly) {
   EXPECT_GT(r.metrics.alpha, 0.9);
   // No probation should be stuck forever.
   for (const auto* f : exp.mafic_filters()) {
-    for (std::size_t s = 0; s < f->num_shards(); ++s) {
-      f->engine(s).tables().for_each_sft([&](const core::SftEntry& e) {
-        EXPECT_GT(e.deadline, 3.0);
-      });
-    }
+    f->engine().tables().for_each_sft([&](const core::SftEntry& e) {
+      EXPECT_GT(e.deadline, 3.0);
+    });
   }
 }
 

@@ -178,9 +178,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioFuzz,
 TEST(ScenarioFuzzRun, RepeatedRunsAreBitIdentical) {
   for (const std::uint64_t seed : {7ULL, 42ULL}) {
     const ScenarioSpec s = random_spec(seed);
-    const Strategy strat = equivalence_strategies().front();
-    const ScenarioOutcome a = run_scenario(s, strat);
-    const ScenarioOutcome b = run_scenario(s, strat);
+    const ScenarioOutcome a = run_scenario(s);
+    const ScenarioOutcome b = run_scenario(s);
     EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << seed;
     EXPECT_EQ(a.phases_fired, b.phases_fired);
     EXPECT_EQ(a.result.events_processed, b.result.events_processed);

@@ -1,7 +1,7 @@
 // Model-based randomized tests: the event queue against a reference
 // implementation, end-to-end conservation checks on random topologies,
-// and a fuzzer that checks a sharded MaficFilter's drops and survivors
-// partition its input stream.
+// and a fuzzer that checks a MaficFilter's drops and survivors partition
+// its input stream.
 
 #include <gtest/gtest.h>
 
@@ -156,15 +156,14 @@ TEST_P(ConservationFuzz, PacketsAreConserved) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ConservationFuzz,
                          ::testing::Values(11, 22, 33, 44));
 
-class ShardSpanFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class MaficFilterFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Span fuzzer: random groups of packets arrive at one instant and a
 // MaficFilter recv()s them in order, with Pd = 0.9: drops thin the
 // stream, but the survivors plus the dropped uids must partition the
 // input — order preserved among survivors, no uid lost, none seen twice.
-TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
+TEST_P(MaficFilterFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
   util::Rng rng(GetParam() * 977 + 1);
-  const std::size_t shards = std::size_t{1} << rng.index(4);
 
   Simulator sim;
   Network net(&sim);
@@ -176,7 +175,7 @@ TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
   cfg.coin_seed = GetParam();
   cfg.probe_enabled = false;
   cfg.sft_capacity = 8;  // force mid-group capacity evictions too
-  core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr, shards);
+  core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr);
   class UidSink final : public Connector {
    public:
     void recv(PacketPtr p) override { uids.push_back(p->uid); }
@@ -230,7 +229,7 @@ TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
   EXPECT_EQ(seen.size(), sent.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardSpanFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, MaficFilterFuzz,
                          ::testing::Values(7, 19, 101, 20260729));
 
 }  // namespace
