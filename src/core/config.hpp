@@ -140,9 +140,11 @@ struct MaficConfig {
 };
 
 /// Throws std::invalid_argument for a config an engine cannot run: a zero
-/// table capacity (capacity eviction would find nothing to evict) or a Pd
+/// table capacity (capacity eviction would find nothing to evict), a Pd
 /// outside [0, 1], NaN included (the coin would never drop, so no flow is
-/// ever admitted). FilterEngine's and Experiment's constructors call it.
+/// ever admitted), or a negative or NaN sft_victim_quota (quotas would be
+/// silently off; 0 is the way to turn them off). FilterEngine's,
+/// FlowTables' and Experiment's constructors call it.
 inline void validate(const MaficConfig& cfg) {
   if (cfg.sft_capacity == 0 || cfg.nft_capacity == 0 ||
       cfg.pdt_capacity == 0) {
@@ -152,6 +154,10 @@ inline void validate(const MaficConfig& cfg) {
   if (!(cfg.drop_probability >= 0.0 && cfg.drop_probability <= 1.0)) {
     throw std::invalid_argument(
         "MaficConfig: drop_probability must be in [0, 1]");
+  }
+  if (!(cfg.sft_victim_quota >= 0.0)) {
+    throw std::invalid_argument(
+        "MaficConfig: sft_victim_quota must be >= 0 (0 turns quotas off)");
   }
 }
 

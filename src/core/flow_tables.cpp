@@ -53,6 +53,7 @@ FlowTables::FlowTables(const MaficConfig& cfg)
              cfg.flow_store_max_load),
       ring_res_(cfg.timer_wheel_resolution > 0.0 ? cfg.timer_wheel_resolution
                                                  : 0.0005) {
+  validate(cfg);
   ring_reset(ring0_);
   class_quota_.assign(1, 0);
 }

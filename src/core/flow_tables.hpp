@@ -69,6 +69,7 @@ struct SftEntry {
 
 class FlowTables {
  public:
+  /// Throws std::invalid_argument for a config core::validate rejects.
   explicit FlowTables(const MaficConfig& cfg);
 
   struct Stats {

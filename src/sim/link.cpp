@@ -5,6 +5,13 @@
 
 namespace mafic::sim {
 
+LinkTransmitter::LinkTransmitter(Simulator* sim, double bandwidth_bps,
+                                 double delay_s)
+    : sim_(sim),
+      bandwidth_bps_(bandwidth_bps),
+      delay_s_(delay_s),
+      prop_lane_(sim->lane(delay_s)) {}
+
 void LinkTransmitter::recv(PacketPtr p) { transmit(std::move(p)); }
 
 void LinkTransmitter::attach_queue(PacketQueue* q) {
@@ -17,21 +24,30 @@ void LinkTransmitter::try_pull() {
   if (PacketPtr p = queue_->dequeue()) transmit(std::move(p));
 }
 
+LaneId LinkTransmitter::tx_lane_miss(std::uint32_t size_bytes) {
+  const LaneId lane =
+      sim_->lane(static_cast<double>(size_bytes) * 8.0 / bandwidth_bps_);
+  tx_lanes_[1] = tx_lanes_[0];
+  tx_lanes_[0] = TxLane{size_bytes, lane};
+  return lane;
+}
+
+// maficlint: hot
 void LinkTransmitter::transmit(PacketPtr p) {
   assert(!busy_ && "transmitter received a packet while busy");
   busy_ = true;
-  const double tx_time =
-      static_cast<double>(p->size_bytes) * 8.0 / bandwidth_bps_;
-  sim_->schedule(tx_time, [this, pkt = std::move(p)]() mutable {
-    busy_ = false;
-    ++delivered_;
-    bytes_ += pkt->size_bytes;
-    // Propagation: multiple packets may be in flight simultaneously.
-    sim_->schedule(delay_s_, [this, pkt2 = std::move(pkt)]() mutable {
-      pass(std::move(pkt2));
-    });
-    try_pull();
-  });
+  const LaneId lane = tx_lane(p->size_bytes);
+  sim_->hand_off(lane, &sent_, std::move(p));
+}
+
+// maficlint: hot
+void LinkTransmitter::transmitted(PacketPtr p) {
+  busy_ = false;
+  ++delivered_;
+  bytes_ += p->size_bytes;
+  // Propagation: multiple packets may be in flight simultaneously.
+  sim_->hand_off(prop_lane_, &arrival_, std::move(p));
+  try_pull();
 }
 
 SimplexLink::SimplexLink(Simulator* sim, NodeId from, NodeId to, Config cfg)

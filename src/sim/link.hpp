@@ -5,7 +5,13 @@
 /// output queue, a serializing transmitter, and propagation delay. Mirrors
 /// the NS-2 SimplexLink structure the paper instruments — "a subclass of
 /// Connector ... is added to the head of each SimplexLink" (section IV).
+///
+/// A hop is two packet hand-offs on the simulator's lanes, as an NS-2 link
+/// schedules the packet itself as the event for its next handler: one when
+/// the packet's last bit leaves (the transmit lane of its size), one when
+/// it arrives (the propagation lane). Neither is a closure.
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,11 +23,14 @@ namespace mafic::sim {
 
 /// Serializes packets onto the wire at the configured bandwidth, then
 /// delivers them to the endpoint after the propagation delay, one packet
-/// per event as an NS-2 link does. Pulls from its PacketQueue.
+/// per event as an NS-2 link does. Pulls from its PacketQueue. The
+/// propagation lane is resolved once, here; a NaN delay throws
+/// std::invalid_argument.
 class LinkTransmitter final : public Connector {
  public:
-  LinkTransmitter(Simulator* sim, double bandwidth_bps, double delay_s)
-      : sim_(sim), bandwidth_bps_(bandwidth_bps), delay_s_(delay_s) {}
+  LinkTransmitter(Simulator* sim, double bandwidth_bps, double delay_s);
+  LinkTransmitter(const LinkTransmitter&) = delete;
+  LinkTransmitter& operator=(const LinkTransmitter&) = delete;
 
   /// Direct injection (used when there is no queue, e.g. unit tests).
   void recv(PacketPtr p) override;
@@ -36,12 +45,52 @@ class LinkTransmitter final : public Connector {
   std::uint64_t bytes_delivered() const noexcept { return bytes_; }
 
  private:
+  /// Hand-off target for the end of a packet's serialization.
+  class Sent final : public Connector {
+   public:
+    explicit Sent(LinkTransmitter* tx) : tx_(tx) {}
+    void recv(PacketPtr p) override { tx_->transmitted(std::move(p)); }
+
+   private:
+    LinkTransmitter* tx_;
+  };
+
+  /// Hand-off target for a packet's arrival: it goes on to the
+  /// transmitter's target as it stands when the packet arrives.
+  class Arrival final : public Connector {
+   public:
+    explicit Arrival(LinkTransmitter* tx) : tx_(tx) {}
+    void recv(PacketPtr p) override { tx_->pass(std::move(p)); }
+
+   private:
+    LinkTransmitter* tx_;
+  };
+
+  /// One entry of the size -> transmit lane cache.
+  struct TxLane {
+    std::uint64_t size_bytes = ~std::uint64_t{0};  ///< matches no packet
+    LaneId lane = 0;
+  };
+
   void try_pull();
   void transmit(PacketPtr p);
+  void transmitted(PacketPtr p);
+  /// The lane of a packet's serialization time: a 2-entry cache, most
+  /// recent size first, so steady traffic never hashes.
+  LaneId tx_lane(std::uint32_t size_bytes) {
+    if (tx_lanes_[0].size_bytes == size_bytes) return tx_lanes_[0].lane;
+    if (tx_lanes_[1].size_bytes == size_bytes) return tx_lanes_[1].lane;
+    return tx_lane_miss(size_bytes);
+  }
+  LaneId tx_lane_miss(std::uint32_t size_bytes);
 
   Simulator* sim_;
   double bandwidth_bps_;
   double delay_s_;
+  LaneId prop_lane_;
+  TxLane tx_lanes_[2];
+  Sent sent_{this};
+  Arrival arrival_{this};
   PacketQueue* queue_ = nullptr;
   bool busy_ = false;
   std::uint64_t delivered_ = 0;

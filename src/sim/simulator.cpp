@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include "sim/connector.hpp"
+
 namespace mafic::sim {
 
 SimTime Simulator::next_event_time() {
@@ -19,7 +21,11 @@ void Simulator::step() {
   if (from_queue) {
     auto ev = queue_.pop();
     if (ev.time > now_) now_ = ev.time;
-    ev.fn();
+    if (ev.to != nullptr) {
+      ev.to->recv(std::move(ev.packet));
+    } else {
+      ev.fn();
+    }
   } else {
     auto timer = wheel_.pop();
     if (timer.time > now_) now_ = timer.time;

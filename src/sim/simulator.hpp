@@ -6,10 +6,12 @@
 /// global state, so independent simulations can coexist in one process.
 ///
 /// Two event sources drive the clock:
-///  * the EventQueue — a binary heap of 16-byte (time, id) entries over a
-///    slab of callables: exact-time, one-shot events (packet arrivals,
-///    transmissions, experiment scripting); equal times fire in schedule
-///    order;
+///  * the EventQueue — exact-time, one-shot events of two kinds:
+///    closures (agent timers, RTOs, attack ticks, the control plane,
+///    experiment scripting), which can be cancelled, and packet hand-offs,
+///    "give this packet to that connector after this lane's delay", which
+///    a link uses for both events of a hop. Equal times fire in schedule
+///    order across both kinds;
 ///  * the hierarchical TimerWheel — high-churn per-flow timers (probation
 ///    probes/decisions, keep-alives) with O(1) schedule/cancel/reschedule,
 ///    quantized to the wheel resolution.
@@ -48,6 +50,17 @@ class Simulator {
 
   /// Cancels a pending event; safe to call with stale ids.
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// The hand-off lane for `delay` seconds (EventQueue::lane): resolve it
+  /// once per fixed delay, not per packet. A NaN delay throws
+  /// std::invalid_argument.
+  LaneId lane(SimTime delay) { return queue_.lane(delay); }
+
+  /// Gives `p` to `to` (`to->recv(p)`) after `lane`'s delay, at the time
+  /// schedule() would give an event with that delay. Cannot be cancelled.
+  EventId hand_off(LaneId lane, Connector* to, PacketPtr p) {
+    return queue_.push_hand_off(lane, now_, to, std::move(p));
+  }
 
   /// Schedules `fn` on the timer wheel after `delay` seconds. Fires at the
   /// first tick boundary at or after the nominal time. Prefer this over

@@ -3,14 +3,18 @@
 /// \file unique_function.hpp
 /// Type-erased move-only callable (a C++20 stand-in for C++23's
 /// std::move_only_function). The event queue and the timer wheel store
-/// these so events can own packets (std::unique_ptr captures), which
-/// std::function cannot.
+/// their closures in these. No event owns a packet any more (a link hop is
+/// two packet hand-offs on the event queue's lanes, not closures), so what
+/// this buys over std::function is its inline buffer, and move-only
+/// captures where a caller needs them.
 ///
 /// Small callables (up to kInlineSize bytes, nothrow-move-constructible)
 /// are stored inline; scheduling them performs no heap allocation. This is
 /// what keeps the per-flow probation timers — lambdas capturing a pointer
-/// and a 64-bit key — allocation-free on the datapath. Larger captures
-/// fall back to the heap transparently.
+/// and a 64-bit key — allocation-free on the datapath. The control
+/// plane's [this, action list] apply event fits inline too; std::function's
+/// buffer holds 16 bytes. Larger captures fall back to the heap
+/// transparently.
 
 #include <cstddef>
 #include <new>

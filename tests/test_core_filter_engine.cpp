@@ -229,6 +229,9 @@ TEST(FilterEngineConfig, RejectsValuesThatBreakTheEngine) {
       with([](MaficConfig& c) { c.drop_probability = std::nan(""); }),
       with([](MaficConfig& c) { c.drop_probability = -0.1; }),
       with([](MaficConfig& c) { c.drop_probability = 1.5; }),
+      // A NaN or negative quota silently turned per-victim quotas off.
+      with([](MaficConfig& c) { c.sft_victim_quota = std::nan(""); }),
+      with([](MaficConfig& c) { c.sft_victim_quota = -0.5; }),
   };
   for (const MaficConfig& cfg : bad) {
     EXPECT_THROW(EngineRuntime(cfg, nullptr), std::invalid_argument);
@@ -239,6 +242,9 @@ TEST(FilterEngineConfig, RejectsValuesThatBreakTheEngine) {
       with([](MaficConfig& c) {
         c.sft_capacity = c.nft_capacity = c.pdt_capacity = 1;
       }),
+      with([](MaficConfig& c) { c.sft_victim_quota = 0.0; }),
+      with([](MaficConfig& c) { c.sft_victim_quota = 0.25; }),
+      with([](MaficConfig& c) { c.sft_victim_quota = 3.0; }),
   };
   for (const MaficConfig& cfg : good) {
     EXPECT_NO_THROW(EngineRuntime(cfg, nullptr));

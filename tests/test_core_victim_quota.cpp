@@ -22,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -83,6 +85,16 @@ TEST(VictimQuota, QuotaSlotsFractionAbsoluteAndClamp) {
       FlowTables t(cfg);
       t.set_victim_classes({kVictimA, kVictimB});
       EXPECT_EQ(t.quota_slots(), 8u) << huge;
+    }
+  }
+  {
+    // A NaN quota reached the integer cast above (undefined), and a
+    // negative one turned quotas off; both fail at construction.
+    for (const double bad : {std::nan(""), -0.5}) {
+      MaficConfig cfg;
+      cfg.sft_capacity = 16;
+      cfg.sft_victim_quota = bad;
+      EXPECT_THROW(FlowTables{cfg}, std::invalid_argument) << bad;
     }
   }
   {

@@ -243,6 +243,14 @@ TEST(ExperimentConfigValidation, MaficConfigTheEngineRejectsThrows) {
     no_sft.defense = kind;
     no_sft.mafic.sft_capacity = 0;
     EXPECT_THROW(Experiment{no_sft}, std::invalid_argument);
+    // A NaN or negative quota used to construct and run with per-victim
+    // quotas silently off.
+    for (const double quota : {std::nan(""), -0.5}) {
+      auto bad_quota = small_config();
+      bad_quota.defense = kind;
+      bad_quota.sft_victim_quota = quota;
+      EXPECT_THROW(Experiment{bad_quota}, std::invalid_argument);
+    }
   }
 }
 

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/connector.hpp"
 #include "util/rng.hpp"
 
 namespace mafic::sim {
@@ -247,6 +249,42 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     EXPECT_GE(ev.time, last);
     last = ev.time;
   }
+}
+
+/// A hand-off target the tests never call: they pop the queue directly.
+class NullSink final : public Connector {
+ public:
+  void recv(PacketPtr) override {}
+};
+
+TEST(EventQueue, LanesAreKeyedByTheExactDelay) {
+  EventQueue q;
+  const LaneId a = q.lane(0.001);
+  EXPECT_EQ(q.lane(0.001), a);
+  EXPECT_NE(q.lane(std::nextafter(0.001, 1.0)), a);
+  EXPECT_EQ(q.lane_count(), 2u);
+  EXPECT_THROW(q.lane(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(q.lane_count(), 2u);
+}
+
+TEST(EventQueue, ClearDestroysPendingHandOffs) {
+  Packet::trim_freelist();
+  NullSink sink;
+  {
+    EventQueue q;
+    const LaneId lane = q.lane(0.5);
+    for (int i = 0; i < 20; ++i) {  // past the first ring growth
+      q.push_hand_off(lane, 0.0, &sink, std::make_unique<Packet>());
+    }
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(Packet::freelist_size(), 20u);
+    // The lane survives clear(); the destructor frees what is left.
+    q.push_hand_off(lane, 0.0, &sink, std::make_unique<Packet>());
+    EXPECT_DOUBLE_EQ(q.next_time(), 0.5);
+    EXPECT_EQ(Packet::freelist_size(), 19u);
+  }
+  EXPECT_EQ(Packet::freelist_size(), 20u);
 }
 
 }  // namespace

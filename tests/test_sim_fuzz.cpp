@@ -1,7 +1,7 @@
-// Model-based randomized tests: the event queue against a reference
-// implementation, end-to-end conservation checks on random topologies,
-// and a fuzzer that checks a MaficFilter's drops and survivors partition
-// its input stream.
+// Model-based randomized tests: the event queue (closures and lane
+// hand-offs) against a reference implementation, end-to-end conservation
+// checks on random topologies, and a fuzzer that checks a MaficFilter's
+// drops and survivors partition its input stream.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +23,18 @@ namespace {
 
 class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// A hand-off target the fuzz never calls: it pops the queue directly.
+class NullSink final : public Connector {
+ public:
+  void recv(PacketPtr) override {}
+};
+
 TEST_P(EventQueueFuzz, MatchesReferenceModel) {
   util::Rng rng(GetParam());
   EventQueue q;
-  // Reference: ordered multimap (time, id) of live events. Ids increase
-  // with push order, so the model breaks time ties by schedule order.
+  // Reference: ordered multimap (time, id) of live events, closures and
+  // hand-offs alike. Ids increase with push order, so the model breaks
+  // time ties by schedule order.
   std::multimap<std::pair<SimTime, EventId>, int> model;
   std::vector<EventId> live_ids;
   // Ids already popped or cancelled: their slots get reused, so a stale
@@ -35,18 +42,44 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
   std::vector<EventId> dead_ids;
   int next_tag = 0;
   std::vector<EventId> popped_real, popped_model;
+  // Hand-offs go on four lanes whose delays sit on the closures' coarse
+  // time grid, so lane/lane and lane/closure ties are frequent. As in the
+  // Simulator, a hand-off lands at now + delay, where now is the latest
+  // time popped so far.
+  const SimTime kDelays[] = {0.0, 5.0, 10.0, 20.0};
+  std::vector<LaneId> lanes;
+  for (const SimTime d : kDelays) lanes.push_back(q.lane(d));
+  NullSink sink;
+  std::vector<EventId> hand_off_ids;  // pending hand-offs
+  SimTime now = 0.0;
 
   for (int step = 0; step < 5000; ++step) {
     const double action = rng.uniform01();
     if (action < 0.55 || q.empty()) {
-      // Half the times on a coarse grid, so that ties are frequent.
-      const SimTime t = rng.uniform01() < 0.5
-                            ? 5.0 * static_cast<double>(rng.index(20))
-                            : rng.uniform(0.0, 100.0);
       const int tag = next_tag++;
-      const EventId id = q.push(t, [] {});
-      model.emplace(std::make_pair(t, id), tag);
-      live_ids.push_back(id);
+      if (rng.uniform01() < 0.4) {
+        const std::size_t pick = rng.index(lanes.size());
+        auto p = std::make_unique<Packet>();
+        p->uid = static_cast<std::uint64_t>(tag);
+        const EventId id = q.push_hand_off(lanes[pick], now, &sink,
+                                           std::move(p));
+        const SimTime t = kDelays[pick] <= 0 ? now : now + kDelays[pick];
+        model.emplace(std::make_pair(t, id), tag);
+        hand_off_ids.push_back(id);
+      } else {
+        // Half the times on a coarse grid, so that ties are frequent.
+        const SimTime t = rng.uniform01() < 0.5
+                              ? 5.0 * static_cast<double>(rng.index(20))
+                              : rng.uniform(0.0, 100.0);
+        const EventId id = q.push(t, [] {});
+        model.emplace(std::make_pair(t, id), tag);
+        live_ids.push_back(id);
+      }
+    } else if (action < 0.6 && !hand_off_ids.empty()) {
+      // Hand-offs cannot be cancelled: the call fails and changes nothing.
+      const std::size_t before = q.size();
+      EXPECT_FALSE(q.cancel(hand_off_ids[rng.index(hand_off_ids.size())]));
+      EXPECT_EQ(q.size(), before);
     } else if (action < 0.65 && !dead_ids.empty()) {
       // Cancel a stale id.
       const EventId id = dead_ids[rng.index(dead_ids.size())];
@@ -75,13 +108,26 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
       const auto expect = model.begin();
       EXPECT_DOUBLE_EQ(popped.time, expect->first.first);
       EXPECT_EQ(popped.id, expect->first.second);
+      // A hand-off comes back with its own packet, a closure with its fn.
+      if (popped.to != nullptr) {
+        EXPECT_EQ(popped.to, &sink);
+        ASSERT_NE(popped.packet, nullptr);
+        EXPECT_EQ(popped.packet->uid,
+                  static_cast<std::uint64_t>(expect->second));
+      } else {
+        EXPECT_TRUE(static_cast<bool>(popped.fn));
+      }
       popped_real.push_back(popped.id);
       popped_model.push_back(expect->first.second);
       model.erase(expect);
       live_ids.erase(
           std::remove(live_ids.begin(), live_ids.end(), popped.id),
           live_ids.end());
+      hand_off_ids.erase(
+          std::remove(hand_off_ids.begin(), hand_off_ids.end(), popped.id),
+          hand_off_ids.end());
       dead_ids.push_back(popped.id);
+      now = std::max(now, popped.time);
     }
     ASSERT_EQ(q.size(), model.size());
   }

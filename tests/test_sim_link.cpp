@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -161,6 +162,49 @@ TEST(SimplexLink, TransmitterStatsAccumulate) {
   EXPECT_EQ(link.transmitter().bytes_delivered(), 1000u);
   EXPECT_EQ(link.from(), 3u);
   EXPECT_EQ(link.to(), 9u);
+}
+
+TEST(SimplexLink, DestroyingTheSimulatorDestroysPacketsInFlight) {
+  // A pending hand-off owns its packet. With two packets propagating and
+  // a third still transmitting, destroying the simulator must destroy all
+  // three (they come back to the packet freelist).
+  Packet::trim_freelist();
+  auto sim = std::make_unique<Simulator>();
+  SimplexLink link(sim.get(), 0, 1, cfg(1e6, 1.0));  // 8 ms tx, 1 s delay
+  Collector sink(sim.get());
+  link.set_endpoint(&sink);
+  for (std::uint64_t uid = 1; uid <= 3; ++uid) {
+    link.entry()->recv(make_packet(1000, uid));
+  }
+  sim->run_until(0.020);  // sent at 8 and 16 ms; the third ends at 24 ms
+  ASSERT_TRUE(sink.uids.empty());
+  EXPECT_FALSE(link.transmitter().idle());
+  EXPECT_EQ(link.queue().depth_packets(), 0u);
+  EXPECT_EQ(link.transmitter().packets_delivered(), 2u);
+  EXPECT_EQ(sim->pending_count(), 3u);
+  EXPECT_EQ(Packet::freelist_size(), 0u);
+  sim.reset();
+  EXPECT_EQ(Packet::freelist_size(), 3u);
+}
+
+TEST(SimplexLink, TailTapAddedWhilePropagatingSeesThePacket) {
+  // A delivery goes to the transmitter's target as it stands when the
+  // packet arrives, not when it left the wire.
+  Simulator sim;
+  SimplexLink link(&sim, 0, 1, cfg(1e6, 0.5));  // arrives at 0.508 s
+  Collector sink(&sim);
+  link.set_endpoint(&sink);
+  link.entry()->recv(make_packet(1000, 7));
+  sim.run_until(0.1);
+  ASSERT_TRUE(link.transmitter().idle());
+  ASSERT_TRUE(sink.uids.empty());
+  std::vector<std::uint64_t> tapped;
+  link.add_tail_tap(std::make_unique<TapConnector>(
+      [&](const Packet& p) { tapped.push_back(p.uid); }));
+  sim.run();
+  EXPECT_EQ(tapped, (std::vector<std::uint64_t>{7}));
+  EXPECT_EQ(sink.uids, (std::vector<std::uint64_t>{7}));
+  EXPECT_NEAR(sink.times[0], 0.508, 1e-12);
 }
 
 }  // namespace
