@@ -39,7 +39,7 @@ int main() {
   util::TablePrinter t2({"Pd(%)", "MAFIC Lr(%)", "proportional Lr(%)"});
   for (const double pd : {0.5, 0.7, 0.9}) {
     scenario::ExperimentConfig cfg;
-    cfg.drop_probability = pd;
+    cfg.mafic.drop_probability = pd;
     const auto mafic_m = scenario::run_averaged(cfg, bench::kSeedsPerPoint);
     cfg.defense = scenario::DefenseKind::kProportional;
     const auto prop_m = scenario::run_averaged(cfg, bench::kSeedsPerPoint);

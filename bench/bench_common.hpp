@@ -87,7 +87,7 @@ inline std::vector<Series> pd_series() {
   for (const double pd : {0.9, 0.8, 0.7}) {
     out.push_back({"Pd=" + std::to_string(int(pd * 100)) + "%",
                    [pd](scenario::ExperimentConfig& cfg) {
-                     cfg.drop_probability = pd;
+                     cfg.mafic.drop_probability = pd;
                    }});
   }
   return out;

@@ -13,7 +13,7 @@ int main() {
   std::printf("== Table II default setting ==\n");
   std::printf("Pd=%.0f%%  Vt=%zu flows  Gamma=%.0f%%  N=%zu routers  "
               "army=%.0f Mb/s  victim link=%.0f Mb/s\n\n",
-              cfg.drop_probability * 100, cfg.total_flows,
+              cfg.mafic.drop_probability * 100, cfg.total_flows,
               cfg.tcp_fraction * 100, cfg.router_count,
               cfg.attack_army_total_bps / 1e6,
               cfg.domain.victim_bandwidth_bps / 1e6);

@@ -19,7 +19,7 @@ int main() {
   std::printf("MAFIC quickstart — Vt=%zu flows, Gamma=%.0f%% TCP, Pd=%.0f%%, "
               "N=%zu routers\n",
               cfg.total_flows, cfg.tcp_fraction * 100.0,
-              cfg.drop_probability * 100.0, cfg.router_count);
+              cfg.mafic.drop_probability * 100.0, cfg.router_count);
 
   scenario::Experiment exp(cfg);
   const auto result = exp.run();

@@ -11,6 +11,15 @@
 
 namespace mafic::core {
 
+/// Occupancy ceiling of the flat open-addressing flow stores (FlowTables'
+/// store and the RttEstimator). Higher values trade longer robin-hood
+/// probe sequences for less memory; a store sizes itself for its capacity
+/// bounds and grows by doubling until it reaches them, after which it
+/// never reallocates. 0.65 keeps the worst-case post-doubling occupancy
+/// low enough that lookups average about one cache line even when growth
+/// stops just under the ceiling.
+inline constexpr double kFlowStoreMaxLoad = 0.65;
+
 struct MaficConfig {
   /// Pd — probability of dropping a packet of an untested / suspicious
   /// flow during the probing phase.
@@ -78,31 +87,6 @@ struct MaficConfig {
   /// estimate (round-robin), so fresh flows keep getting estimates under
   /// label churn while the store never reallocates.
   std::size_t rtt_capacity = 65536;
-
-  /// Occupancy ceiling of the flat open-addressing flow store. Higher
-  /// values trade longer robin-hood probe sequences for less memory; the
-  /// store sizes itself for the three capacity bounds above and grows by
-  /// doubling until it reaches that bound, after which it never
-  /// reallocates. 0.65 keeps the worst-case post-doubling occupancy low
-  /// enough that lookups average about one cache line even when growth
-  /// stops just under the ceiling.
-  double flow_store_max_load = 0.65;
-
-  /// Tick width of the simulator's hierarchical timer wheel, which carries
-  /// the per-flow probe and decision timers (O(1) schedule/cancel instead
-  /// of heap events). Timers fire on the first tick boundary at or after
-  /// their nominal time; 0.5 ms is well under every probation window the
-  /// paper sweeps. Experiment harnesses construct their Simulator with
-  /// this value.
-  double timer_wheel_resolution = 0.0005;
-
-  /// Initial bucket count of the SFT deadline-bucketed eviction ring
-  /// (rounded up to a power of two). Buckets are one timer-wheel tick
-  /// wide; capacity eviction pops the nearest-deadline probation from the
-  /// first occupied bucket in O(1) amortized. The ring doubles on demand
-  /// (up to 65536 buckets) when live probation deadlines span more ticks;
-  /// 512 covers the widest paper window (2 x max_rtt) with headroom.
-  std::size_t sft_eviction_ring_buckets = 512;
 
   /// Per-victim SFT filtering budget. 0 (default) keeps the legacy
   /// behaviour: one global eviction ring, so at capacity a flood aimed at

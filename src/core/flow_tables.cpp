@@ -10,8 +10,14 @@
 namespace mafic::core {
 
 namespace {
+/// Initial bucket count of each eviction ring. Buckets are one wheel tick
+/// wide; a ring doubles on demand (up to kMaxRingBuckets) when its live
+/// probation deadlines span more ticks. 512 covers the widest paper
+/// window (2 x max_rtt) with headroom.
+constexpr std::size_t kRingBuckets = 512;
+
 /// Ring growth ceiling. Beyond this span (65536 ticks = ~33 s at the
-/// default resolution) far-future deadlines clamp into the last bucket —
+/// wheel tick) far-future deadlines clamp into the last bucket —
 /// eviction order among them degrades to FIFO, which only an absurdly
 /// configured window can reach.
 constexpr std::size_t kMaxRingBuckets = 1u << 16;
@@ -50,19 +56,14 @@ const char* to_string(EvictCause c) noexcept {
 FlowTables::FlowTables(const MaficConfig& cfg)
     : cfg_(cfg),
       store_(cfg.sft_capacity + cfg.nft_capacity + cfg.pdt_capacity,
-             cfg.flow_store_max_load),
-      ring_res_(cfg.timer_wheel_resolution > 0.0 ? cfg.timer_wheel_resolution
-                                                 : 0.0005) {
+             kFlowStoreMaxLoad) {
   validate(cfg);
   ring_reset(ring0_);
   class_quota_.assign(1, 0);
 }
 
 void FlowTables::ring_reset(Ring& r) {
-  const std::size_t buckets = pow2_at_least(
-      cfg_.sft_eviction_ring_buckets < kMaxRingBuckets
-          ? cfg_.sft_eviction_ring_buckets
-          : kMaxRingBuckets);
+  const std::size_t buckets = pow2_at_least(kRingBuckets);
   r.head.assign(buckets, kNoSlot);
   r.tail.assign(buckets, kNoSlot);
   r.occ.assign(buckets / 64, 0);
@@ -245,7 +246,7 @@ void FlowTables::free_arena_slot(std::uint32_t slot) noexcept {
 void FlowTables::ring_insert(Ring& r, std::uint32_t cls, std::uint32_t slot,
                              double deadline) {
   assert(&r == &ring_at(cls));
-  std::uint64_t tick = sim::TimerWheel::quantize(deadline, ring_res_);
+  std::uint64_t tick = sim::TimerWheel::quantize(deadline, sim::kWheelTick);
   if (r.live == 0) {
     r.cursor = tick;
   } else if (tick < r.cursor) {

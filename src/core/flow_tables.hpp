@@ -321,7 +321,6 @@ class FlowTables {
     return cls == 0 ? ring0_ : extra_rings_[cls - 1];
   }
 
-  double ring_res_;                 ///< tick width (wheel resolution)
   Ring ring0_;                      ///< class 0 (the only ring, quotas off)
   std::vector<Ring> extra_rings_;   ///< classes 1..n-1 (quota mode only)
   std::vector<util::Addr> class_victims_;  ///< sorted; empty = one class

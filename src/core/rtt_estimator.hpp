@@ -32,7 +32,7 @@ namespace mafic::core {
 class RttEstimator {
  public:
   explicit RttEstimator(const MaficConfig& cfg)
-      : cfg_(cfg), flows_(cfg.rtt_capacity, cfg.flow_store_max_load) {}
+      : cfg_(cfg), flows_(cfg.rtt_capacity, kFlowStoreMaxLoad) {}
 
   /// Marks keys that must not be recycled at capacity (the engine pins
   /// flows with an *active probation*: their estimate backs the live

@@ -43,8 +43,7 @@ class ManualClock final : public Clock {
 /// now), so an engine behaves identically under either runtime.
 class WheelTimerService final : public TimerService {
  public:
-  explicit WheelTimerService(ManualClock* clock, double resolution = 0.0005)
-      : clock_(clock), wheel_(resolution) {}
+  explicit WheelTimerService(ManualClock* clock) : clock_(clock) {}
 
   sim::TimerId schedule_at(double t, TimerFn fn) override {
     const double now = clock_->now();
@@ -94,7 +93,7 @@ class CountingProbeSink final : public ProbeSink {
 class EngineRuntime {
  public:
   EngineRuntime(const MaficConfig& cfg, const AddressPolicy* policy)
-      : timers_(&clock_, cfg.timer_wheel_resolution),
+      : timers_(&clock_),
         engine_(cfg, &clock_, &timers_, &probes_, policy) {}
 
   EngineRuntime(const EngineRuntime&) = delete;

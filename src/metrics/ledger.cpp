@@ -24,15 +24,9 @@ void PacketLedger::on_defense_offered(const sim::Packet& p, double now) {
 
 void PacketLedger::on_drop(const sim::Packet& p, sim::DropReason r,
                            sim::NodeId /*where*/, double now) {
-  if (p.probe) {
-    ++probe_seen_;
-    return;  // probe losses are overhead, not flow traffic
-  }
+  if (p.probe) return;  // probe losses are overhead, not flow traffic
   const auto it = flows_.find(p.flow_id);
-  if (it == flows_.end()) {
-    ++untracked_drops_;
-    return;
-  }
+  if (it == flows_.end()) return;
   auto& counters = phase(it->second, now);
   switch (r) {
     case sim::DropReason::kDefenseProbe:
@@ -45,7 +39,6 @@ void PacketLedger::on_drop(const sim::Packet& p, sim::DropReason r,
       ++counters.dropped_baseline;
       break;
     case sim::DropReason::kQueueOverflow:
-    case sim::DropReason::kRedEarly:
       ++counters.queue_drops;
       break;
     default:
@@ -55,11 +48,9 @@ void PacketLedger::on_drop(const sim::Packet& p, sim::DropReason r,
 
 void PacketLedger::on_victim_offered(const sim::Packet& p, double now) {
   victim_offered_bytes_.add(now, static_cast<double>(p.size_bytes));
-  victim_offered_packets_.add(now, 1.0);
 }
 
 void PacketLedger::on_victim_delivered(const sim::Packet& p, double now) {
-  victim_delivered_bytes_.add(now, static_cast<double>(p.size_bytes));
   const auto it = flows_.find(p.flow_id);
   if (it == flows_.end()) return;
   ++phase(it->second, now).victim_arrivals;

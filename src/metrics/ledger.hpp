@@ -48,10 +48,11 @@ class PacketLedger {
     PhaseCounters post;
   };
 
-  explicit PacketLedger(double series_bin_width = 0.05)
-      : victim_offered_bytes_(series_bin_width),
-        victim_delivered_bytes_(series_bin_width),
-        victim_offered_packets_(series_bin_width) {}
+  /// Bin width of the victim bandwidth series, in seconds.
+  static constexpr double kSeriesBinWidth = 0.05;
+
+  explicit PacketLedger(double bin_width = kSeriesBinWidth)
+      : victim_offered_bytes_(bin_width) {}
 
   void register_flow(const FlowGroundTruth& truth);
   const FlowRecord* flow(sim::FlowId id) const;
@@ -79,12 +80,6 @@ class PacketLedger {
   const util::BinnedSeries& victim_offered_bytes() const noexcept {
     return victim_offered_bytes_;
   }
-  const util::BinnedSeries& victim_offered_packets() const noexcept {
-    return victim_offered_packets_;
-  }
-  const util::BinnedSeries& victim_delivered_bytes() const noexcept {
-    return victim_delivered_bytes_;
-  }
 
   /// Visits every registered flow in REGISTRATION order (deterministic:
   /// the experiment registers flows in construction order). The storage
@@ -97,9 +92,6 @@ class PacketLedger {
     for (const sim::FlowId id : order_) fn(flows_.find(id)->second);
   }
 
-  std::uint64_t untracked_drops() const noexcept { return untracked_drops_; }
-  std::uint64_t probe_packets_seen() const noexcept { return probe_seen_; }
-
  private:
   PhaseCounters& phase(FlowRecord& rec, double now) noexcept {
     return now < trigger_time_ ? rec.pre : rec.post;
@@ -109,10 +101,6 @@ class PacketLedger {
   std::vector<sim::FlowId> order_;  ///< registration order (for_each_flow)
   double trigger_time_ = std::numeric_limits<double>::infinity();
   util::BinnedSeries victim_offered_bytes_;
-  util::BinnedSeries victim_delivered_bytes_;
-  util::BinnedSeries victim_offered_packets_;
-  std::uint64_t untracked_drops_ = 0;
-  std::uint64_t probe_seen_ = 0;
 };
 
 }  // namespace mafic::metrics

@@ -9,7 +9,7 @@ namespace mafic::pushback {
 ControlPlane::ControlPlane(sim::Simulator* sim,
                            PushbackCoordinator* coordinator, Config cfg)
     : sim_(sim), coordinator_(coordinator), cfg_(cfg),
-      pipeline_(cfg.detector, cfg.atr.min_intersection) {}
+      pipeline_(cfg.detector) {}
 
 ControlPlane::~ControlPlane() {
   if (keepalive_event_ != sim::kInvalidEvent) sim_->cancel(keepalive_event_);
@@ -17,10 +17,8 @@ ControlPlane::~ControlPlane() {
 
 void ControlPlane::protect(sim::NodeId victim_router,
                            util::Addr victim_addr) {
-  VictimStatus st;
-  st.victim = victim_addr;
-  st.router = victim_router;
-  statuses_.push_back(st);
+  victims_.push_back({victim_addr, victim_router});
+  statuses_.emplace_back();
 }
 
 void ControlPlane::watch(sketch::TrafficMonitor& monitor) {
@@ -31,32 +29,19 @@ void ControlPlane::watch(sketch::TrafficMonitor& monitor) {
 
 void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
   ++epochs_;
-  if (statuses_.empty()) return;
+  if (victims_.empty()) return;
 
-  // 1. Freeze the control snapshot: matrix copy + counter samples. After
-  // this point detection touches nothing live.
-  sketch::ControlSnapshot cs;
-  cs.matrix = snap;
-  cs.victims.reserve(statuses_.size());
-  for (const auto& st : statuses_) {
-    sketch::VictimCounterSample sample;
-    sample.victim = st.victim;
-    sample.last_hop_router = st.router;
-    cs.victims.push_back(sample);
-  }
-  if (counter_source_) counter_source_(cs.victims);
-
-  // 2. Detection: pure function of the frozen snapshot (plus the
+  // Detection: a pure function of the frozen matrix (plus the
   // pipeline's own state).
-  const std::vector<VictimDecision> decisions = pipeline_.step(cs);
-  std::vector<std::vector<AtrScore>> atr_sets(statuses_.size());
+  const std::vector<VictimDecision> decisions = pipeline_.step(snap, victims_);
+  std::vector<std::vector<AtrScore>> atr_sets(victims_.size());
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     if (decisions[i].alarming) {
-      atr_sets[i] = identify_atrs(cs.matrix, decisions[i].router, cfg_.atr);
+      atr_sets[i] = identify_atrs(snap, decisions[i].router, cfg_.atr);
     }
   }
 
-  // 3. Fold results into the statuses and collect pending transitions.
+  // Fold results into the statuses and collect pending transitions.
   // What a victim has engaged so far is read from the registry: every
   // earlier epoch's apply event has landed (control_delay < epoch).
   const auto& responses = coordinator_->responses();
@@ -65,10 +50,9 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
     auto& st = statuses_[i];
     const auto& dec = decisions[i];
     st.alarming = dec.alarming;
-    st.features = dec.features;
     if (dec.raised) ++st.alarms;
 
-    const auto rit = responses.find(st.victim);
+    const auto rit = responses.find(dec.victim);
     const bool engaged = rit != responses.end() && rit->second.engaged;
     if (dec.alarming) {
       // Engage any ATRs not yet applied for this victim. Re-evaluated
@@ -91,7 +75,7 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
     }
   }
 
-  // 4. One apply event per epoch with pending actions, a fixed control
+  // One apply event per epoch with pending actions, a fixed control
   // delay out — the deterministic stand-in for victim->ATR signaling.
   if (!actions.empty()) {
     sim_->schedule(cfg_.control_delay,
@@ -102,7 +86,7 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
 void ControlPlane::apply(const std::vector<Action>& actions) {
   ++apply_events_;
   for (const auto& a : actions) {
-    const util::Addr victim = statuses_[a.index].victim;
+    const util::Addr victim = victims_[a.index].victim;
     if (!a.engage) {
       coordinator_->disengage_victim(victim);
       continue;

@@ -4,10 +4,6 @@
 
 namespace mafic::pushback {
 
-DetectorFeaturePipeline::DetectorFeaturePipeline(Config cfg,
-                                                 double fan_in_floor)
-    : cfg_(cfg), fan_in_floor_(fan_in_floor) {}
-
 DetectorFeaturePipeline::RouterState& DetectorFeaturePipeline::router_state(
     sim::NodeId router) {
   for (RouterState& rs : routers_) {
@@ -53,26 +49,23 @@ void DetectorFeaturePipeline::step_rule(RouterState& rs, double d) const {
 }
 
 std::vector<VictimDecision> DetectorFeaturePipeline::step(
-    const sketch::ControlSnapshot& snap) {
+    const sketch::TrafficMatrixSnapshot& matrix,
+    std::span<const ProtectedVictim> victims) {
   ++epochs_;
-  if (victims_.size() < snap.victims.size()) {
-    victims_.resize(snap.victims.size());
+  if (victim_alarming_.size() < victims.size()) {
+    victim_alarming_.resize(victims.size(), false);
   }
 
   std::vector<VictimDecision> out;
-  out.reserve(snap.victims.size());
-  for (std::size_t vi = 0; vi < snap.victims.size(); ++vi) {
-    const auto& sample = snap.victims[vi];
-    const sim::NodeId router = sample.last_hop_router;
-    const bool in_matrix = router < snap.matrix.d.size();
-    auto& st = victims_[vi];
+  out.reserve(victims.size());
+  for (std::size_t vi = 0; vi < victims.size(); ++vi) {
+    const sim::NodeId router = victims[vi].router;
 
     VictimDecision dec;
-    dec.victim = sample.victim;
+    dec.victim = victims[vi].victim;
     dec.router = router;
-
     FeatureVector& f = dec.features;
-    f.d = in_matrix ? snap.matrix.d_count(router) : 0.0;
+    f.d = router < matrix.d.size() ? matrix.d_count(router) : 0.0;
     // Victims behind one router share its rule state: step it once.
     RouterState& rs = router_state(router);
     if (rs.stepped_epoch != epochs_) {
@@ -80,32 +73,12 @@ std::vector<VictimDecision> DetectorFeaturePipeline::step(
       step_rule(rs, f.d);
     }
     f.baseline = rs.baseline.value();
-    f.velocity = st.have_prev_d ? f.d - st.prev_d : 0.0;
-    st.prev_d = f.d;
-    st.have_prev_d = true;
 
-    if (in_matrix) {
-      for (sim::NodeId i = 0;
-           i < static_cast<sim::NodeId>(snap.matrix.s.size()); ++i) {
-        if (snap.matrix.a(i, router) >= fan_in_floor_) f.fan_in += 1.0;
-      }
-    }
-
-    const double decided = static_cast<double>(sample.decided_nice) +
-                           static_cast<double>(sample.decided_malicious);
-    f.malicious_share =
-        decided > 0.0
-            ? static_cast<double>(sample.decided_malicious) / decided
-            : 0.0;
-    f.population_shift =
-        st.have_prev_share ? f.malicious_share - st.prev_share : 0.0;
-    st.prev_share = f.malicious_share;
-    st.have_prev_share = true;
-
-    dec.raised = rs.alarming && !st.alarming;
-    dec.cleared = !rs.alarming && st.alarming;
+    const bool was_alarming = victim_alarming_[vi];
+    dec.raised = rs.alarming && !was_alarming;
+    dec.cleared = !rs.alarming && was_alarming;
     dec.alarming = rs.alarming;
-    st.alarming = rs.alarming;
+    victim_alarming_[vi] = rs.alarming;
 
     out.push_back(dec);
   }

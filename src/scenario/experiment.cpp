@@ -11,6 +11,8 @@ namespace mafic::scenario {
 namespace {
 constexpr std::uint16_t kSourcePort = 5000;
 constexpr std::uint16_t kVictimPortBase = 2000;
+/// LogLog precision of the per-router S and D sketches (2^10 registers).
+constexpr unsigned kSketchPrecisionBits = 10;
 }  // namespace
 
 topology::DomainConfig ExperimentConfig::default_domain() {
@@ -36,10 +38,7 @@ pushback::ControlPlane::Config ExperimentConfig::default_pushback() {
 }
 
 Experiment::Experiment(ExperimentConfig cfg)
-    : cfg_(cfg),
-      sim_(cfg.mafic.timer_wheel_resolution),
-      rng_(cfg.seed),
-      ledger_(cfg.series_bin_width) {
+    : cfg_(cfg), rng_(cfg.seed) {
   // Timing that would hang the run or reorder the control plane: a zero
   // epoch reschedules the monitor at the same instant forever, a zero
   // refresh interval does the same to the keep-alive once a response
@@ -55,8 +54,6 @@ Experiment::Experiment(ExperimentConfig cfg)
     throw std::invalid_argument(
         "pushback.control_delay must be >= 0 and < epoch_seconds");
   }
-  cfg_.mafic.drop_probability = cfg_.drop_probability;
-  cfg_.mafic.sft_victim_quota = cfg_.sft_victim_quota;
   // Every run fails here on a MAFIC config its engines would reject,
   // whatever the defense kind.
   core::validate(cfg_.mafic);
@@ -123,7 +120,7 @@ void Experiment::build_topology() {
 
 void Experiment::build_sketches() {
   bank_ = std::make_unique<sketch::RouterSketchBank>(
-      cfg_.router_count, cfg_.sketch_precision_bits,
+      cfg_.router_count, kSketchPrecisionBits,
       /*hash_seed=*/cfg_.seed ^ 0x5ca1ab1eULL);
   monitor_ = std::make_unique<sketch::TrafficMonitor>(&sim_, bank_.get(),
                                                       cfg_.epoch_seconds);
@@ -269,7 +266,6 @@ void Experiment::build_flows() {
     const util::Addr victim = target_addr(flow);
 
     attack::Flooder::Config fc;
-    fc.framing = cfg_.attack_framing;
     fc.rate_bps = cfg_.attack_army_total_bps > 0.0
                       ? cfg_.attack_army_total_bps / double(attack_count_)
                       : cfg_.attack_rate_bps;
@@ -316,16 +312,6 @@ void Experiment::build_defense() {
     for (std::size_t i = 0; i < victim_addrs_.size(); ++i) {
       control_plane_->protect(victim_routers_[i], victim_addrs_[i]);
     }
-    control_plane_->set_counter_source(
-        [this](std::vector<sketch::VictimCounterSample>& samples) {
-          for (auto& s : samples) {
-            const VictimBreakdown b = victim_breakdown(s.victim);
-            s.decided_nice = b.decided_nice;
-            s.decided_malicious = b.decided_malicious;
-            s.screened_sources = b.screened_sources;
-            s.evictions = b.evictions;
-          }
-        });
     control_plane_->watch(*monitor_);
   }
 
@@ -333,7 +319,8 @@ void Experiment::build_defense() {
   // configured weight (victim order; missing entries weigh 1.0). Applied
   // to every MAFIC filter below so all ATRs agree on reservations.
   std::vector<std::pair<util::Addr, double>> quota_weights;
-  if (cfg_.sft_victim_quota > 0.0 && !cfg_.sft_victim_weights.empty()) {
+  if (cfg_.mafic.sft_victim_quota > 0.0 &&
+      !cfg_.sft_victim_weights.empty()) {
     quota_weights.reserve(victim_addrs_.size());
     for (std::size_t i = 0; i < victim_addrs_.size(); ++i) {
       quota_weights.emplace_back(victim_addrs_[i],
@@ -364,7 +351,7 @@ void Experiment::build_defense() {
       }
       case DefenseKind::kProportional: {
         auto filter = std::make_unique<baseline::ProportionalDropper>(
-            cfg_.drop_probability, cfg_.mafic.coin_seed);
+            cfg_.mafic.drop_probability, cfg_.mafic.coin_seed);
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });

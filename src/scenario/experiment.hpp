@@ -19,12 +19,11 @@
 ///    is sent, so filters stay active for the rest of the run.
 ///  * kDetector: the full pipeline — LogLog sketches, per-epoch traffic
 ///    matrix, |Dj| anomaly detection, a_ij ATR identification — drives the
-///    activation, asynchronously: a pushback::ControlPlane freezes an
-///    epoch snapshot, runs the detection step per protected destination,
-///    applies per-victim engage/disengage decisions one control delay
-///    later, and
-///    refreshes every engaged ATR each refresh_interval. Every victim in
-///    victim_addrs() is protected.
+///    activation, asynchronously: a pushback::ControlPlane reads each
+///    epoch's frozen traffic matrix, runs the detection step per protected
+///    destination, applies per-victim engage/disengage decisions one
+///    control delay later, and refreshes every engaged ATR each
+///    refresh_interval. Every victim in victim_addrs() is protected.
 
 #include <memory>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "metrics/report.hpp"
 #include "pushback/control_plane.hpp"
 #include "pushback/coordinator.hpp"
-#include "sim/monitor.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sketch/router_tap.hpp"
@@ -73,7 +71,7 @@ struct ExperimentConfig {
   // --- Table II parameters -------------------------------------------------
   std::size_t total_flows = 50;    ///< Vt
   double tcp_fraction = 0.95;      ///< Γ (share of legitimate TCP flows)
-  double drop_probability = 0.9;   ///< Pd
+  // Pd is mafic.drop_probability.
   double attack_rate_bps = 8e6;    ///< R, per zombie (used when army=0)
   std::size_t router_count = 40;   ///< N
   std::uint64_t seed = 1;
@@ -94,7 +92,6 @@ struct ExperimentConfig {
   double attack_army_total_bps = 16e6;
   std::uint32_t legit_packet_bytes = 1000;
   std::uint32_t attack_packet_bytes = 250;
-  sim::Protocol attack_framing = sim::Protocol::kTcp;
   attack::SpoofingConfig spoofing{};  ///< default: all spoofs look legit
   bool per_packet_spoofing = false;
   /// Adaptive adversary (ablation A6): zombies back off when probed,
@@ -138,26 +135,22 @@ struct ExperimentConfig {
   DefenseKind defense = DefenseKind::kMafic;
   TriggerMode trigger = TriggerMode::kScripted;
   AtrScope atr_scope = AtrScope::kAllIngress;
-  /// Pd and the SFT victim quota are overwritten from the top-level
-  /// drop_probability / sft_victim_quota knobs. The Experiment
-  /// constructor then throws std::invalid_argument for a result that
+  /// The MAFIC engine's settings, Pd (drop_probability, also the
+  /// proportional-drop baseline's rate) and the per-victim SFT quota
+  /// (sft_victim_quota) included. With extra_victims >= 1 and a quota
+  /// > 0, a capacity-saturating flood at one victim can no longer
+  /// recycle another victim's in-flight probations — each protected
+  /// destination keeps its reserved SFT slots, and per-victim eviction
+  /// counts land in ExperimentResult::per_victim. The Experiment
+  /// constructor throws std::invalid_argument for a config that
   /// core::validate rejects, whatever the defense kind.
   core::MaficConfig mafic{};
   baseline::AggregateLimiter::Config aggregate{};
 
-  /// Per-victim SFT filtering budget (core::MaficConfig::sft_victim_quota;
-  /// copied over mafic.sft_victim_quota like drop_probability). With
-  /// extra_victims >= 1 and a quota > 0, a capacity-saturating flood at
-  /// one victim can no longer recycle another victim's in-flight
-  /// probations — each protected destination keeps its reserved SFT
-  /// slots, and per-victim eviction counts land in
-  /// ExperimentResult::per_victim. 0 keeps the legacy global ring.
-  double sft_victim_quota = 0.0;
-
   /// Weighted per-victim quotas: weight of each protected destination in
   /// victim order (primary victim first, then the extras in attachment
   /// order), e.g. its provisioned bandwidth in bps. With
-  /// sft_victim_quota > 0, each victim's SFT reservation becomes
+  /// mafic.sft_victim_quota > 0, each victim's SFT reservation becomes
   /// proportional to its weight instead of an equal split (missing
   /// entries weigh 1.0, extra entries are ignored). Empty = equal split.
   std::vector<double> sft_victim_weights;
@@ -168,12 +161,10 @@ struct ExperimentConfig {
   /// 0 <= pushback.control_delay < epoch_seconds (an apply event must
   /// land before the next epoch's decisions).
   double epoch_seconds = 0.1;
-  unsigned sketch_precision_bits = 10;
   pushback::ControlPlane::Config pushback = default_pushback();
 
   // --- measurement -----------------------------------------------------------
   metrics::ReportWindows windows{};
-  double series_bin_width = 0.05;
 
   static topology::DomainConfig default_domain();
   static pushback::ControlPlane::Config default_pushback();
@@ -296,8 +287,7 @@ class Experiment {
   void build_flows();
   void arm_trigger();
   std::vector<sim::NodeId> ground_truth_atrs() const;
-  /// One victim's decision counters aggregated across every MAFIC filter
-  /// (shared by snapshot_result and the control plane's counter source).
+  /// One victim's decision counters aggregated across every MAFIC filter.
   VictimBreakdown victim_breakdown(util::Addr victim) const;
 
   ExperimentConfig cfg_;

@@ -52,8 +52,8 @@ ExperimentConfig compile(const ScenarioSpec& spec) {
   cfg.attack_ramp = spec.attack_ramp;
   cfg.per_packet_spoofing = spec.per_packet_spoofing;
 
-  cfg.drop_probability = spec.drop_probability;
-  cfg.sft_victim_quota = spec.sft_victim_quota;
+  cfg.mafic.drop_probability = spec.drop_probability;
+  cfg.mafic.sft_victim_quota = spec.sft_victim_quota;
   cfg.sft_victim_weights = spec.victim_provisioned_bps;
   cfg.mafic.sft_capacity = spec.sft_capacity;
   cfg.scripted_trigger_time = spec.trigger_time;

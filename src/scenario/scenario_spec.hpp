@@ -84,8 +84,8 @@ struct ScenarioSpec {
   double sft_victim_quota = 0.0;  ///< MaficConfig::sft_victim_quota
   std::size_t sft_capacity = 4096;
   double trigger_time = 2.7;      ///< scripted pushback notification
-  /// TriggerMode::kDetector: the asynchronous control plane (epoch
-  /// snapshots, per-victim feature detection, apply-after-control-delay)
+  /// TriggerMode::kDetector: the asynchronous control plane (frozen epoch
+  /// traffic matrix, per-victim |Dj| detection, apply-after-control-delay)
   /// drives activation instead of the scripted notification. The
   /// detector battery runs catalog shapes with this on and pins their
   /// detector_fingerprint().

@@ -14,7 +14,7 @@ LinkTransmitter::LinkTransmitter(Simulator* sim, double bandwidth_bps,
 
 void LinkTransmitter::recv(PacketPtr p) { transmit(std::move(p)); }
 
-void LinkTransmitter::attach_queue(PacketQueue* q) {
+void LinkTransmitter::attach_queue(DropTailQueue* q) {
   queue_ = q;
   queue_->set_ready_callback([this] { try_pull(); });
 }

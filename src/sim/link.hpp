@@ -23,7 +23,7 @@ namespace mafic::sim {
 
 /// Serializes packets onto the wire at the configured bandwidth, then
 /// delivers them to the endpoint after the propagation delay, one packet
-/// per event as an NS-2 link does. Pulls from its PacketQueue. The
+/// per event as an NS-2 link does. Pulls from its DropTailQueue. The
 /// propagation lane is resolved once, here; a NaN delay throws
 /// std::invalid_argument.
 class LinkTransmitter final : public Connector {
@@ -35,7 +35,7 @@ class LinkTransmitter final : public Connector {
   /// Direct injection (used when there is no queue, e.g. unit tests).
   void recv(PacketPtr p) override;
 
-  void attach_queue(PacketQueue* q);
+  void attach_queue(DropTailQueue* q);
 
   bool idle() const noexcept { return !busy_; }
   double bandwidth_bps() const noexcept { return bandwidth_bps_; }
@@ -91,7 +91,7 @@ class LinkTransmitter final : public Connector {
   TxLane tx_lanes_[2];
   Sent sent_{this};
   Arrival arrival_{this};
-  PacketQueue* queue_ = nullptr;
+  DropTailQueue* queue_ = nullptr;
   bool busy_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_ = 0;
@@ -131,8 +131,8 @@ class SimplexLink {
   NodeId from() const noexcept { return from_; }
   NodeId to() const noexcept { return to_; }
   const Config& config() const noexcept { return cfg_; }
-  PacketQueue& queue() noexcept { return *queue_; }
-  const PacketQueue& queue() const noexcept { return *queue_; }
+  DropTailQueue& queue() noexcept { return *queue_; }
+  const DropTailQueue& queue() const noexcept { return *queue_; }
   LinkTransmitter& transmitter() noexcept { return *tx_; }
   const LinkTransmitter& transmitter() const noexcept { return *tx_; }
   const DropHandler& drop_handler() const noexcept { return drop_handler_; }
@@ -145,7 +145,7 @@ class SimplexLink {
   Config cfg_;
   std::vector<std::unique_ptr<Connector>> heads_;
   std::vector<std::unique_ptr<TapConnector>> tails_;
-  std::unique_ptr<PacketQueue> queue_;
+  std::unique_ptr<DropTailQueue> queue_;
   std::unique_ptr<LinkTransmitter> tx_;
   Connector* endpoint_ = nullptr;
   DropHandler drop_handler_;

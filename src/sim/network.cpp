@@ -14,7 +14,7 @@ Node* Network::add_node(util::Addr addr, NodeKind kind) {
                                 util::format_addr(addr));
   }
   const auto id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<Node>(sim_, id, addr, kind));
+  nodes_.push_back(std::make_unique<Node>(id, addr, kind));
   by_addr_.emplace(addr, id);
   if (drop_handler_) nodes_.back()->set_drop_handler(drop_handler_);
   return nodes_.back().get();

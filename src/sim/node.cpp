@@ -2,10 +2,8 @@
 
 namespace mafic::sim {
 
-Node::Node(Simulator* sim, NodeId id, util::Addr addr, NodeKind kind)
-    : sim_(sim), id_(id), addr_(addr), kind_(kind), entry_(this) {
-  (void)sim_;  // reserved for future use (e.g. processing delay)
-}
+Node::Node(NodeId id, util::Addr addr, NodeKind kind)
+    : id_(id), addr_(addr), kind_(kind), entry_(this) {}
 
 void Node::bind_port(std::uint16_t port, PacketHandler* handler) {
   ports_[port] = handler;

@@ -28,7 +28,7 @@ class PacketHandler {
 
 class Node {
  public:
-  Node(Simulator* sim, NodeId id, util::Addr addr, NodeKind kind);
+  Node(NodeId id, util::Addr addr, NodeKind kind);
 
   NodeId id() const noexcept { return id_; }
   util::Addr addr() const noexcept { return addr_; }
@@ -98,7 +98,6 @@ class Node {
   void deliver_local(PacketPtr p);
   void drop(const Packet& p, DropReason r);
 
-  Simulator* sim_;
   NodeId id_;
   util::Addr addr_;
   NodeKind kind_;

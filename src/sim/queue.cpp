@@ -9,63 +9,20 @@ void DropTailQueue::recv(PacketPtr p) {
   const bool over_bytes =
       cfg_.capacity_bytes != 0 && bytes_ + p->size_bytes > cfg_.capacity_bytes;
   if (over_packets || over_bytes) {
-    report_drop(*p, DropReason::kQueueOverflow);
+    ++stats_.dropped;
+    if (drop_handler_) {
+      drop_handler_(*p, DropReason::kQueueOverflow, location_);
+    }
     return;
   }
   bytes_ += p->size_bytes;
   q_.push_back(std::move(p));
   ++stats_.enqueued;
   stats_.peak_depth = std::max(stats_.peak_depth, q_.size());
-  notify_ready();
+  if (ready_) ready_();
 }
 
 PacketPtr DropTailQueue::dequeue() {
-  if (q_.empty()) return nullptr;
-  PacketPtr p = std::move(q_.front());
-  q_.pop_front();
-  bytes_ -= p->size_bytes;
-  ++stats_.dequeued;
-  return p;
-}
-
-void RedQueue::recv(PacketPtr p) {
-  // Update the average depth estimate on every arrival.
-  avg_ = (1.0 - cfg_.weight) * avg_ +
-         cfg_.weight * static_cast<double>(q_.size());
-
-  if (q_.size() >= cfg_.capacity_packets) {
-    report_drop(*p, DropReason::kQueueOverflow);
-    since_last_drop_ = 0;
-    return;
-  }
-  if (avg_ > cfg_.max_threshold) {
-    report_drop(*p, DropReason::kRedEarly);
-    since_last_drop_ = 0;
-    return;
-  }
-  if (avg_ > cfg_.min_threshold) {
-    const double base = cfg_.max_drop_probability *
-                        (avg_ - cfg_.min_threshold) /
-                        (cfg_.max_threshold - cfg_.min_threshold);
-    // Gentle count correction as in the original RED paper.
-    const double denom =
-        std::max(1e-9, 1.0 - static_cast<double>(since_last_drop_) * base);
-    const double pa = std::min(1.0, base / denom);
-    if (rng_.bernoulli(pa)) {
-      report_drop(*p, DropReason::kRedEarly);
-      since_last_drop_ = 0;
-      return;
-    }
-  }
-  ++since_last_drop_;
-  bytes_ += p->size_bytes;
-  q_.push_back(std::move(p));
-  ++stats_.enqueued;
-  stats_.peak_depth = std::max(stats_.peak_depth, q_.size());
-  notify_ready();
-}
-
-PacketPtr RedQueue::dequeue() {
   if (q_.empty()) return nullptr;
   PacketPtr p = std::move(q_.front());
   q_.pop_front();

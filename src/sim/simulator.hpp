@@ -29,8 +29,7 @@ namespace mafic::sim {
 
 class Simulator {
  public:
-  explicit Simulator(SimTime timer_resolution = 0.0005)
-      : wheel_(timer_resolution) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

@@ -14,7 +14,7 @@ constexpr std::uint64_t kNoCandidate = ~0ull;
 }
 
 TimerWheel::TimerWheel(SimTime resolution)
-    : resolution_(resolution > 0.0 ? resolution : 0.0005) {
+    : resolution_(resolution > 0.0 ? resolution : kWheelTick) {
   for (auto& level : heads_) {
     for (auto& head : level) head = kNil;
   }

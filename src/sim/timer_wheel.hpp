@@ -39,13 +39,21 @@ namespace mafic::sim {
 
 using TimerFn = util::UniqueFunction<void()>;
 
+/// Tick width of the simulator's timer wheel, which carries the per-flow
+/// probe and decision timers: they fire on the first tick boundary at or
+/// after their nominal time, and 0.5 ms is well under every probation
+/// window the paper sweeps. FlowTables' deadline-bucketed eviction ring
+/// buckets by the same tick, so the two agree on which probation is due
+/// first.
+inline constexpr SimTime kWheelTick = 0.0005;
+
 class TimerWheel {
  public:
   static constexpr int kLevels = 4;
   static constexpr int kSlotBits = 8;
   static constexpr std::uint32_t kSlotsPerLevel = 1u << kSlotBits;
 
-  explicit TimerWheel(SimTime resolution = 0.0005);
+  explicit TimerWheel(SimTime resolution = kWheelTick);
 
   SimTime resolution() const noexcept { return resolution_; }
 

@@ -18,8 +18,6 @@ const char* to_string(DropReason r) noexcept {
   switch (r) {
     case DropReason::kQueueOverflow:
       return "queue-overflow";
-    case DropReason::kRedEarly:
-      return "red-early";
     case DropReason::kDefenseProbe:
       return "defense-probe";
     case DropReason::kDefensePdt:

@@ -38,7 +38,6 @@ const char* to_string(Protocol p) noexcept;
 /// (probe-phase, PDT, baseline) from substrate drops (queues, routing).
 enum class DropReason : std::uint8_t {
   kQueueOverflow,   ///< drop-tail queue full
-  kRedEarly,        ///< RED early drop
   kDefenseProbe,    ///< MAFIC probability-Pd drop during the probing phase
   kDefensePdt,      ///< flow is in the Permanently Drop Table
   kDefenseBaseline, ///< dropped by a baseline policy under comparison

@@ -1,53 +1,9 @@
 #pragma once
 
 /// \file stats.hpp
-/// Small statistics helpers: streaming mean/variance, exponentially weighted
-/// moving averages (rate baselines, RTT estimation), and percentile
-/// computation for benchmark reporting.
-
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
-#include <limits>
-#include <vector>
+/// Exponentially weighted moving average (the detector's |Dj| baseline).
 
 namespace mafic::util {
-
-/// Welford streaming mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void push(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  void reset() noexcept { *this = RunningStats{}; }
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const noexcept { return std::sqrt(variance()); }
-  double min() const noexcept {
-    return n_ ? min_ : std::numeric_limits<double>::quiet_NaN();
-  }
-  double max() const noexcept {
-    return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
-  }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exponentially weighted moving average. `alpha` is the weight of the new
 /// sample; the first sample initializes the average directly.
@@ -77,29 +33,6 @@ class Ewma {
   double alpha_;
   double value_ = 0.0;
   bool initialized_ = false;
-};
-
-/// Percentile (linear interpolation) of an unsorted sample; q in [0, 1].
-/// Returns NaN on an empty sample.
-double percentile(std::vector<double> sample, double q);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bin. Used by benches for latency/error distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0) noexcept;
-  const std::vector<double>& bins() const noexcept { return counts_; }
-  double bin_width() const noexcept { return width_; }
-  double lo() const noexcept { return lo_; }
-  double total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 }  // namespace mafic::util

@@ -1,9 +1,8 @@
-// Asynchronous control-plane detector layer: feature pipeline units,
-// multi-victim coordinator actuation (engage / disengage / retarget),
-// ControlPlane end-to-end sequences against fake actuators (control
-// delay, keep-alive, trigger callback), and the multi-victim experiment
-// regression (every protected destination must trigger detector-mode
-// defense).
+// Asynchronous control-plane detector layer: multi-victim coordinator
+// actuation (engage / disengage / retarget), ControlPlane end-to-end
+// sequences against fake actuators (control delay, keep-alive, trigger
+// callback), and the multi-victim experiment regression (every protected
+// destination must trigger detector-mode defense).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "pushback/control_plane.hpp"
 #include "pushback/coordinator.hpp"
-#include "pushback/detector_features.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/simulator.hpp"
 
@@ -46,55 +44,6 @@ sketch::TrafficMatrixSnapshot make_snapshot(std::size_t routers,
     snap.d.push_back(bank.d(sim::NodeId(i)));
   }
   return snap;
-}
-
-sketch::ControlSnapshot control_snap(sketch::TrafficMatrixSnapshot matrix,
-                                     std::vector<sketch::VictimCounterSample>
-                                         victims) {
-  sketch::ControlSnapshot cs;
-  cs.matrix = std::move(matrix);
-  cs.victims = std::move(victims);
-  return cs;
-}
-
-// --------------------------------------------------------------- pipeline ---
-
-TEST(DetectorFeaturePipeline, ComputesVelocityFanInAndPopulationShift) {
-  DetectorFeaturePipeline::Config cfg;
-  cfg.warmup_epochs = 100;  // keep the |Dj| rule quiet
-  DetectorFeaturePipeline pipe(cfg, /*fan_in_floor=*/50.0);
-
-  sketch::VictimCounterSample v;
-  v.victim = 42;
-  v.last_hop_router = 2;
-
-  // Epoch 1: routers 0 and 1 both feed victim router 2; router 0 also
-  // sends unrelated traffic to router 3 (not in the column).
-  auto d1 = pipe.step(control_snap(
-      make_snapshot(4, {{0, 2, 400}, {1, 2, 300}, {0, 3, 500}}, 0), {v}));
-  ASSERT_EQ(d1.size(), 1u);
-  EXPECT_NEAR(d1[0].features.d, 700.0, 70.0);
-  EXPECT_EQ(d1[0].features.fan_in, 2.0);
-  EXPECT_EQ(d1[0].features.velocity, 0.0);  // no previous epoch
-  EXPECT_EQ(d1[0].features.malicious_share, 0.0);
-
-  // Epoch 2: volume doubles, fan-in collapses to one source, and the
-  // filters have decided 30 nice / 90 malicious flows.
-  v.decided_nice = 30;
-  v.decided_malicious = 90;
-  auto d2 = pipe.step(
-      control_snap(make_snapshot(4, {{0, 2, 1400}}, 10000000), {v}));
-  EXPECT_NEAR(d2[0].features.velocity,
-              d2[0].features.d - d1[0].features.d, 1e-9);
-  EXPECT_GT(d2[0].features.velocity, 400.0);
-  EXPECT_EQ(d2[0].features.fan_in, 1.0);
-  EXPECT_DOUBLE_EQ(d2[0].features.malicious_share, 0.75);
-  EXPECT_DOUBLE_EQ(d2[0].features.population_shift, 0.75);
-
-  // Epoch 3: share stays put, so the shift goes to zero.
-  auto d3 = pipe.step(
-      control_snap(make_snapshot(4, {{0, 2, 1400}}, 20000000), {v}));
-  EXPECT_DOUBLE_EQ(d3[0].features.population_shift, 0.0);
 }
 
 // ------------------------------------------------- coordinator actuation ---

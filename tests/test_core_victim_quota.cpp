@@ -16,7 +16,9 @@
 //     victim, all-zero weights, reservations clamped into the table);
 //   * experiment-level wiring (knob -> engines, per-victim eviction
 //     counts in ExperimentResult::per_victim, sft_victim_weights ->
-//     every engine's reservations).
+//     every engine's reservations);
+//   * a whole scenario run that fills the SFT under quotas: a carpet
+//     bomb whose every retarget makes the new victim reclaim slots.
 
 #include "core/flow_tables.hpp"
 
@@ -31,6 +33,7 @@
 #include "core/mafic_filter.hpp"
 #include "core/standalone_runtime.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/scenario_spec.hpp"
 #include "sim/packet.hpp"
 #include "util/rng.hpp"
 
@@ -524,7 +527,7 @@ TEST(VictimQuotaExperiment, KnobFlowsToEnginesAndPerVictimEvictionCounts) {
   cfg.router_count = 8;
   cfg.extra_victims = 1;    // zombie is flow 50 -> targets the extra victim
   cfg.per_packet_spoofing = true;
-  cfg.sft_victim_quota = 0.25;
+  cfg.mafic.sft_victim_quota = 0.25;
   cfg.mafic.sft_capacity = 16;
   cfg.end_time = 4.5;
 
@@ -556,7 +559,7 @@ TEST(VictimQuotaExperiment, ProvisionedWeightsFlowToEveryEngine) {
   cfg.router_count = 8;
   cfg.extra_victims = 1;
   cfg.per_packet_spoofing = true;
-  cfg.sft_victim_quota = 0.25;
+  cfg.mafic.sft_victim_quota = 0.25;
   cfg.sft_victim_weights = {3.0, 1.0};
   cfg.mafic.sft_capacity = 16;
   cfg.end_time = 4.5;
@@ -580,6 +583,49 @@ TEST(VictimQuotaExperiment, ProvisionedWeightsFlowToEveryEngine) {
     EXPECT_EQ(t.quota_slots_of(extra), 2u);
   }
   EXPECT_GT(activated, 0u);
+}
+
+TEST(VictimQuotaExperiment, CarpetBombEvictsAtCapacityAndReclaimsQuota) {
+  // No catalog entry fills an SFT: each MaficFilter guards one host's
+  // uplink, and a zombie with one spoofed source holds one probation at a
+  // time. Here every attack packet carries a spoofed source drawn from
+  // the ~50 legitimate hosts, so a zombie's uplink filter holds ~2 x RTT
+  // worth of live probations (tens) in a 16-slot SFT with 4 reserved
+  // slots per victim. Whichever victim the army is on runs over its
+  // quota and pays its own evictions; on each retarget the new victim is
+  // under quota and reclaims slots from the old one.
+  ScenarioSpec spec;
+  spec.name = "carpet_quota_eviction";
+  spec.seed = 21;
+  spec.shape = AttackShape::kCarpetBomb;
+  spec.routers = 8;
+  spec.victims = 4;
+  spec.legit_flows = 48;
+  spec.zombies = 4;
+  spec.attack_total_bps = 8e6;
+  spec.per_packet_spoofing = true;
+  spec.carpet_dwell = 0.3;
+  spec.sft_capacity = 16;
+  spec.sft_victim_quota = 0.25;
+  spec.end_time = 5.0;
+
+  const ScenarioOutcome out = run_scenario(spec);
+  const ExperimentResult& r = out.result;
+  EXPECT_TRUE(r.metrics.triggered);
+  EXPECT_EQ(out.phases_fired, 8u);  // two sweeps over the 4 victims
+  EXPECT_GT(r.sft_evictions, 0u);
+  EXPECT_GT(r.quota_evictions, 0u);
+  ASSERT_EQ(r.per_victim.size(), 4u);
+  std::size_t evicted_victims = 0;
+  std::uint64_t per_victim_sum = 0;
+  for (const VictimBreakdown& v : r.per_victim) {
+    evicted_victims += v.evictions > 0 ? 1 : 0;
+    per_victim_sum += v.evictions;
+  }
+  EXPECT_GE(evicted_victims, 2u);
+  EXPECT_EQ(per_victim_sum, r.sft_evictions);
+  // Pinned: the run's integer decision counts at this seed.
+  EXPECT_EQ(out.fingerprint, 0x0fd6c5bb5298a6f8ULL);
 }
 
 }  // namespace

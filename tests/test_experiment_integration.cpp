@@ -228,16 +228,15 @@ TEST(ExperimentConfigValidation, NegativeControlDelayThrows) {
 }
 
 TEST(ExperimentConfigValidation, MaficConfigTheEngineRejectsThrows) {
-  // The effective MAFIC config is checked once Pd and the quota are
-  // copied in, whatever the defense kind: a NaN Pd used to turn the
-  // defense off silently, and a zero SFT capacity crashed the first
-  // admission.
+  // The MAFIC config is checked whatever the defense kind: a NaN Pd used
+  // to turn the defense off silently, and a zero SFT capacity crashed the
+  // first admission.
   for (const DefenseKind kind :
        {DefenseKind::kMafic, DefenseKind::kProportional,
         DefenseKind::kNone}) {
     auto nan_pd = small_config();
     nan_pd.defense = kind;
-    nan_pd.drop_probability = std::nan("");
+    nan_pd.mafic.drop_probability = std::nan("");
     EXPECT_THROW(Experiment{nan_pd}, std::invalid_argument);
     auto no_sft = small_config();
     no_sft.defense = kind;
@@ -248,7 +247,7 @@ TEST(ExperimentConfigValidation, MaficConfigTheEngineRejectsThrows) {
     for (const double quota : {std::nan(""), -0.5}) {
       auto bad_quota = small_config();
       bad_quota.defense = kind;
-      bad_quota.sft_victim_quota = quota;
+      bad_quota.mafic.sft_victim_quota = quota;
       EXPECT_THROW(Experiment{bad_quota}, std::invalid_argument);
     }
   }

@@ -72,23 +72,24 @@ TEST(Ledger, ProbePacketsAreOverheadNotFlowTraffic) {
   ledger.on_drop(packet_for(1, 40, /*probe=*/true),
                  sim::DropReason::kQueueOverflow, 0, 1.0);
   EXPECT_EQ(ledger.flow(1)->pre.queue_drops, 0u);
-  EXPECT_EQ(ledger.probe_packets_seen(), 1u);
 }
 
-TEST(Ledger, UnknownFlowDropsCounted) {
+TEST(Ledger, UnknownFlowDropsAreNotAttributed) {
   PacketLedger ledger;
+  ledger.register_flow(truth(1, false));
   ledger.on_drop(packet_for(42), sim::DropReason::kQueueOverflow, 0, 1.0);
-  EXPECT_EQ(ledger.untracked_drops(), 1u);
+  EXPECT_EQ(ledger.flow(42), nullptr);
+  EXPECT_EQ(ledger.flow(1)->pre.queue_drops, 0u);
 }
 
 TEST(Ledger, VictimSeriesAccumulate) {
   PacketLedger ledger(0.1);
+  ledger.register_flow(truth(1, false));
   ledger.on_victim_offered(packet_for(1, 500), 0.25);
   ledger.on_victim_offered(packet_for(1, 500), 0.26);
   ledger.on_victim_delivered(packet_for(1, 500), 0.30);
   EXPECT_DOUBLE_EQ(ledger.victim_offered_bytes().total(), 1000.0);
-  EXPECT_DOUBLE_EQ(ledger.victim_delivered_bytes().total(), 500.0);
-  EXPECT_DOUBLE_EQ(ledger.victim_offered_packets().total(), 2.0);
+  EXPECT_EQ(ledger.flow(1)->pre.victim_arrivals, 1u);
 }
 
 TEST(Report, UntriggeredYieldsNaNs) {

@@ -53,7 +53,7 @@ class PdSeedSweep : public ::testing::TestWithParam<PdSeed> {};
 
 TEST_P(PdSeedSweep, InvariantsHold) {
   auto cfg = base_config();
-  cfg.drop_probability = std::get<0>(GetParam());
+  cfg.mafic.drop_probability = std::get<0>(GetParam());
   cfg.seed = std::get<1>(GetParam());
   Experiment exp(cfg);
   check_invariants(exp.run());
@@ -108,7 +108,7 @@ TEST(Monotonicity, HigherPdLeaksFewerAttackPackets) {
   double previous = 1.0;
   for (const double pd : {0.5, 0.7, 0.9}) {
     auto cfg = base_config();
-    cfg.drop_probability = pd;
+    cfg.mafic.drop_probability = pd;
     const auto m = run_averaged(cfg, 3);
     EXPECT_LT(m.theta_n, previous + 0.003)
         << "theta_n should not grow with Pd (pd=" << pd << ")";
@@ -120,7 +120,7 @@ TEST(Monotonicity, HigherPdReducesMoreTraffic) {
   double previous = -1.0;
   for (const double pd : {0.5, 0.7, 0.9}) {
     auto cfg = base_config();
-    cfg.drop_probability = pd;
+    cfg.mafic.drop_probability = pd;
     const auto m = run_averaged(cfg, 3);
     EXPECT_GT(m.beta, previous - 0.05)
         << "beta should not shrink with Pd (pd=" << pd << ")";

@@ -38,29 +38,20 @@ sketch::TrafficMatrixSnapshot make_snapshot(std::size_t routers,
   return snap;
 }
 
-/// Wraps a matrix into a control snapshot with one victim (address
-/// 100 + router) behind each of `victim_routers`.
-sketch::ControlSnapshot with_victims(
-    sketch::TrafficMatrixSnapshot matrix,
-    const std::vector<sim::NodeId>& victim_routers = {1}) {
-  sketch::ControlSnapshot cs;
-  cs.matrix = std::move(matrix);
-  for (const sim::NodeId r : victim_routers) {
-    sketch::VictimCounterSample v;
-    v.victim = 100 + r;
-    v.last_hop_router = r;
-    cs.victims.push_back(v);
-  }
-  return cs;
+/// One protected victim (address 100 + router) behind each of
+/// `victim_routers`.
+std::vector<ProtectedVictim> victims_behind(
+    const std::vector<sim::NodeId>& victim_routers) {
+  std::vector<ProtectedVictim> victims;
+  for (const sim::NodeId r : victim_routers) victims.push_back({100 + r, r});
+  return victims;
 }
 
 /// One-victim rule step: the decision for the victim behind router 1.
 VictimDecision step1(DetectorFeaturePipeline& pipe,
-                     sketch::TrafficMatrixSnapshot matrix) {
-  return pipe.step(with_victims(std::move(matrix))).at(0);
+                     const sketch::TrafficMatrixSnapshot& matrix) {
+  return pipe.step(matrix, victims_behind({1})).at(0);
 }
-
-constexpr double kFanInFloor = 20.0;
 
 // ------------------------------------------------------- the |Dj| rule ---
 
@@ -69,19 +60,18 @@ TEST(DetectorRule, AlarmsOnSuddenSurge) {
   cfg.warmup_epochs = 2;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 50;
-  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  DetectorFeaturePipeline pipe(cfg);
 
   // Baseline epochs: ~200 packets to router 1. A second victim sits
   // behind router 0, which only sends.
   for (int e = 0; e < 5; ++e) {
-    const auto d =
-        pipe.step(with_victims(make_snapshot(3, 0, 1, 200, e * 1000000ULL),
-                               {1, 0}));
+    const auto d = pipe.step(make_snapshot(3, 0, 1, 200, e * 1000000ULL),
+                             victims_behind({1, 0}));
     EXPECT_FALSE(d[0].alarming || d[1].alarming) << "epoch " << e;
   }
   // Surge: 2000 packets.
-  const auto d = pipe.step(
-      with_victims(make_snapshot(3, 0, 1, 2000, 99000000ULL), {1, 0}));
+  const auto d = pipe.step(make_snapshot(3, 0, 1, 2000, 99000000ULL),
+                           victims_behind({1, 0}));
   EXPECT_TRUE(d[0].raised);
   EXPECT_TRUE(d[0].alarming);
   EXPECT_GT(d[0].features.d, d[0].features.baseline * 2.0);
@@ -91,7 +81,7 @@ TEST(DetectorRule, AlarmsOnSuddenSurge) {
 TEST(DetectorRule, NoAlarmDuringWarmup) {
   DetectorFeaturePipeline::Config cfg;
   cfg.warmup_epochs = 10;
-  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  DetectorFeaturePipeline pipe(cfg);
   EXPECT_FALSE(step1(pipe, make_snapshot(2, 0, 1, 100)).alarming);
   EXPECT_FALSE(step1(pipe, make_snapshot(2, 0, 1, 5000, 1000000)).alarming);
 }
@@ -101,7 +91,7 @@ TEST(DetectorRule, AbsoluteFloorSuppressesTinyTraffic) {
   cfg.warmup_epochs = 1;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 1000;
-  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  DetectorFeaturePipeline pipe(cfg);
   for (int e = 0; e < 3; ++e) {
     step1(pipe, make_snapshot(2, 0, 1, 20, e * 1000000ULL));
   }
@@ -115,7 +105,7 @@ TEST(DetectorRule, ClearsWhenTrafficSubsides) {
   cfg.trigger_factor = 2.0;
   cfg.clear_factor = 1.5;
   cfg.min_packets_per_epoch = 50;
-  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  DetectorFeaturePipeline pipe(cfg);
 
   for (int e = 0; e < 3; ++e) {
     step1(pipe, make_snapshot(2, 0, 1, 200, e * 1000000ULL));
@@ -137,7 +127,7 @@ TEST(DetectorRule, ClearsWhenAttackSubsidesBelowTriggerFloor) {
   cfg.trigger_factor = 2.5;
   cfg.clear_factor = 1.5;
   cfg.min_packets_per_epoch = 100;
-  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  DetectorFeaturePipeline pipe(cfg);
 
   // Small baseline (~30/epoch), well under the alarm floor.
   for (int e = 0; e < 3; ++e) {
@@ -172,7 +162,7 @@ TEST(DetectorRule, ConfiguredEwmaAlphaChangesDetection) {
     cfg.trigger_factor = 2.5;
     cfg.min_packets_per_epoch = 50;
     cfg.ewma_alpha = alpha;
-    DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+    DetectorFeaturePipeline pipe(cfg);
     int raised = 0;
     std::uint64_t uid = 0;
     for (const std::uint64_t n :
@@ -205,7 +195,7 @@ TEST(DetectorRule, AttackRampDoesNotPoisonTheBaseline) {
   // too, and the baseline chased the attack from then on. 797 sits over
   // the 1.5x clear threshold, so it is never learned. The floor is the
   // one the control-plane experiment tests use.
-  DetectorFeaturePipeline pipe(experiment_rule(120), kFanInFloor);
+  DetectorFeaturePipeline pipe(experiment_rule(120));
 
   std::uint64_t uid = 0;
   const auto epoch = [&](std::uint64_t n) {
@@ -234,7 +224,7 @@ TEST(DetectorRule, CarpetRampUnderTheTriggerDoesNotPoisonTheBaseline) {
   // learned. The epochs are one router's |Dj| from the start of a run
   // (the benchmark's carpet_detector workload at smoke scale, seed 7),
   // with that workload's floor.
-  DetectorFeaturePipeline pipe(experiment_rule(150), kFanInFloor);
+  DetectorFeaturePipeline pipe(experiment_rule(150));
 
   std::uint64_t uid = 0;
   const auto epoch = [&](std::uint64_t n) {
@@ -259,7 +249,7 @@ TEST(DetectorRule, BaselineFrozenWhileAlarming) {
   cfg.warmup_epochs = 1;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 50;
-  DetectorFeaturePipeline pipe(cfg, kFanInFloor);
+  DetectorFeaturePipeline pipe(cfg);
   double base_before = 0.0;
   for (int e = 0; e < 3; ++e) {
     base_before =
@@ -282,14 +272,14 @@ TEST(DetectorRule, VictimsBehindOneRouterShareOneRuleStep) {
   cfg.warmup_epochs = 3;
   cfg.trigger_factor = 2.0;
   cfg.min_packets_per_epoch = 50;
-  DetectorFeaturePipeline alone(cfg, kFanInFloor);
-  DetectorFeaturePipeline shared(cfg, kFanInFloor);
+  DetectorFeaturePipeline alone(cfg);
+  DetectorFeaturePipeline shared(cfg);
   const std::uint64_t loads[] = {200, 220, 3000, 3000, 210, 200, 3000};
   std::uint64_t uid = 0;
   for (const std::uint64_t n : loads) {
     const auto a = step1(alone, make_snapshot(2, 0, 1, n, uid));
     const auto s =
-        shared.step(with_victims(make_snapshot(2, 0, 1, n, uid), {1, 1}));
+        shared.step(make_snapshot(2, 0, 1, n, uid), victims_behind({1, 1}));
     uid += 1000000;
     ASSERT_EQ(s.size(), 2u);
     for (const VictimDecision& d : s) {

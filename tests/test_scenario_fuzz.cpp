@@ -73,7 +73,7 @@ TEST_P(ScenarioFuzz, CompilesAndGeneratesIdenticallyOnRepeat) {
   EXPECT_EQ(ca.tcp_fraction, cb.tcp_fraction);
   EXPECT_EQ(ca.router_count, cb.router_count);
   EXPECT_EQ(ca.extra_victims, cb.extra_victims);
-  EXPECT_EQ(ca.sft_victim_quota, cb.sft_victim_quota);
+  EXPECT_EQ(ca.mafic.sft_victim_quota, cb.mafic.sft_victim_quota);
   EXPECT_EQ(ca.sft_victim_weights, cb.sft_victim_weights);
   EXPECT_EQ(ca.flash_crowd_fraction, cb.flash_crowd_fraction);
   EXPECT_EQ(ca.end_time, cb.end_time);

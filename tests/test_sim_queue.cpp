@@ -81,49 +81,5 @@ TEST(DropTailQueue, BytesTrackedThroughDequeue) {
   EXPECT_EQ(q.depth_bytes(), 50u);
 }
 
-TEST(RedQueue, ForwardsBelowMinThreshold) {
-  RedQueue q(util::Rng(1), RedQueue::Config{64, 5, 15, 0.1, 0.5});
-  for (int i = 0; i < 4; ++i) q.recv(make_packet(10));
-  EXPECT_EQ(q.stats().dropped, 0u);
-  EXPECT_EQ(q.depth_packets(), 4u);
-}
-
-TEST(RedQueue, HardDropAtCapacity) {
-  RedQueue q(util::Rng(1), RedQueue::Config{3, 100, 200, 0.1, 0.002});
-  for (int i = 0; i < 5; ++i) q.recv(make_packet(10));
-  EXPECT_EQ(q.depth_packets(), 3u);
-  EXPECT_EQ(q.stats().dropped, 2u);
-}
-
-TEST(RedQueue, EarlyDropsWhenAverageHigh) {
-  // High EWMA weight makes the average track the instantaneous depth, so
-  // sustained occupancy above max_threshold forces early drops.
-  RedQueue q(util::Rng(7), RedQueue::Config{64, 2, 4, 0.5, 0.9});
-  int accepted = 0;
-  for (int i = 0; i < 50; ++i) {
-    const auto before = q.stats().enqueued;
-    q.recv(make_packet(10));
-    accepted += (q.stats().enqueued > before);
-  }
-  EXPECT_GT(q.stats().dropped, 0u);
-  EXPECT_LT(accepted, 50);
-}
-
-TEST(RedQueue, AverageTracksOccupancy) {
-  RedQueue q(util::Rng(1), RedQueue::Config{64, 50, 60, 0.1, 1.0});
-  for (int i = 0; i < 10; ++i) q.recv(make_packet(10));
-  // With weight 1.0 the average equals the pre-arrival depth.
-  EXPECT_NEAR(q.average_depth(), 9.0, 1e-9);
-}
-
-TEST(RedQueue, DequeueFifo) {
-  RedQueue q(util::Rng(1));
-  q.recv(make_packet(10, 1));
-  q.recv(make_packet(10, 2));
-  EXPECT_EQ(q.dequeue()->uid, 1u);
-  EXPECT_EQ(q.dequeue()->uid, 2u);
-  EXPECT_EQ(q.dequeue(), nullptr);
-}
-
 }  // namespace
 }  // namespace mafic::sim

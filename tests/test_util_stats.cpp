@@ -2,49 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace mafic::util {
 namespace {
-
-TEST(RunningStats, EmptyIsNeutral) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_TRUE(std::isnan(s.min()));
-  EXPECT_TRUE(std::isnan(s.max()));
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.push(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStats, KnownSample) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.push(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of the classic example is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, ResetClears) {
-  RunningStats s;
-  s.push(1.0);
-  s.push(2.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
 
 TEST(Ewma, FirstSampleInitializes) {
   Ewma e(0.5);
@@ -77,53 +36,6 @@ TEST(Ewma, ResetForgets) {
   EXPECT_FALSE(e.initialized());
   e.update(2.0);
   EXPECT_DOUBLE_EQ(e.value(), 2.0);
-}
-
-TEST(Percentile, EmptyIsNaN) {
-  EXPECT_TRUE(std::isnan(percentile({}, 0.5)));
-}
-
-TEST(Percentile, MedianAndExtremes) {
-  std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.5);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.75), 7.5);
-}
-
-TEST(Percentile, ClampsQuantile) {
-  std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(v, -0.5), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.5), 3.0);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 9
-  EXPECT_DOUBLE_EQ(h.bins()[0], 2.0);
-  EXPECT_DOUBLE_EQ(h.bins()[9], 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-}
-
-TEST(Histogram, WeightedSamples) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5, 2.5);
-  EXPECT_DOUBLE_EQ(h.bins()[1], 2.5);
-  EXPECT_DOUBLE_EQ(h.total(), 2.5);
-}
-
-TEST(Histogram, ZeroBinRequestIsSafe) {
-  Histogram h(0.0, 1.0, 0);
-  h.add(0.5);
-  EXPECT_EQ(h.bins().size(), 1u);
 }
 
 }  // namespace

@@ -240,6 +240,11 @@ def check_determinism(files, manifest):
     banned = cfg.get("banned", [])
     fingerprint_tus = set(cfg.get("fingerprint_tus", []))
     findings = []
+    for rel in sorted(fingerprint_tus - set(files)):
+        findings.append(Finding(
+            rel, 1, "manifest",
+            f"determinism fingerprint TU '{rel}' not found (manifest "
+            f"drift — update invariants.toml [determinism])"))
     for rel, sf in sorted(files.items()):
         for ban in banned:
             for m in re.finditer(ban["pattern"], sf.code):
@@ -709,7 +714,7 @@ def selftest_main(repo_root):
            f"allow() suppressions counted (>= {min_allows}, "
            f"got {len(allows)})")
 
-    # -- 2. manifest drift: a listed mutator that does not exist ----------
+    # -- 2. manifest drift: a listed file or mutator that does not exist --
     drift = dict(fixture_manifest)
     drift_epoch = dict(drift.get("epoch", {}))
     drift_epoch["mutators"] = list(drift_epoch.get("mutators", [])) + [
@@ -719,6 +724,17 @@ def selftest_main(repo_root):
     expect(any(f.rule == "manifest" and "mutator_that_does_not_exist"
                in f.message for f in drift_findings),
            "manifest drift (listed mutator missing) is detected")
+
+    # ... and a listed fingerprint TU that does not exist.
+    drift = dict(fixture_manifest)
+    drift_det = dict(drift.get("determinism", {}))
+    drift_det["fingerprint_tus"] = list(
+        drift_det.get("fingerprint_tus", [])) + ["src/sim/no_such_file.hpp"]
+    drift["determinism"] = drift_det
+    drift_findings, _, _ = run_all(files, drift)
+    expect(any(f.rule == "manifest" and "src/sim/no_such_file.hpp"
+               in f.message for f in drift_findings),
+           "manifest drift (listed fingerprint TU missing) is detected")
 
     # -- 3. live flow_tables.cpp: the epoch audit has teeth ---------------
     # Run against the REAL repo manifest and the REAL flow_tables.cpp:
